@@ -303,10 +303,11 @@ L2ArmResult RunL2Arm(int64_t budget_mb, double l2_share,
     const std::string out = "/out-p" + std::to_string(pass);
     api::JobConf job = workloads::MakeWordCountJob("/in", out, 3, true);
     job.SetInt(api::conf::kMemoryBudgetMb, budget_mb);
-    // Barrier shuffle: the pipelined overlap credit depends on wall-clock
-    // run timing, and that jitter would drown the tier's read savings in
-    // a cross-arm sim comparison. The barrier charge is deterministic.
-    job.Set(api::conf::kShufflePipeline, "off");
+    // Flush threshold above every lane, so the whole shuffle ships at the
+    // barrier: the early-flush overlap credit depends on wall-clock run
+    // timing, and that jitter would drown the tier's read savings in a
+    // cross-arm sim comparison. The barrier charge is deterministic.
+    job.Set(api::conf::kShuffleFlushBytes, "1073741824");
     if (l2_share > 0) {
       char share[32];
       std::snprintf(share, sizeof(share), "%g", l2_share);

@@ -22,6 +22,8 @@
 //   bench_recovery [--out-dir DIR] [--suffix S]
 //
 // writes DIR/BENCH_recovery<S>.json.
+#include <sched.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -58,6 +60,30 @@ double WallSeconds(const std::function<void()>& body) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
+}
+
+/// Restricts this thread, and every thread it creates afterwards, to one
+/// CPU. Sim seconds fold in each task's measured thread CPU time, and
+/// places running at once on a small host inflate each other's: the
+/// crash-free baseline runs four places to the end while the crash arms
+/// run three after the crash, which biased the comparison towards the
+/// baseline by about as much as the recovery span itself. On one CPU
+/// every arm's tasks are measured without that contention.
+void PinToOneCpu() {
+#ifdef __linux__
+  cpu_set_t allowed;
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return;
+  int cpu = sched_getcpu();
+  if (cpu < 0 || !CPU_ISSET(cpu, &allowed)) {
+    for (cpu = 0; cpu < CPU_SETSIZE && !CPU_ISSET(cpu, &allowed); ++cpu) {
+    }
+    if (cpu == CPU_SETSIZE) return;
+  }
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  sched_setaffinity(0, sizeof(one), &one);
+#endif
 }
 
 /// One benchmark run, rendered as one JSON object (same schema as
@@ -283,6 +309,7 @@ int main(int argc, char** argv) {
     }
   }
   std::vector<m3r::Record> records;
+  m3r::PinToOneCpu();  // before any engine starts its threads
   m3r::RunRecoveryVsRetry(&records);
   const std::string path = out_dir + "/BENCH_recovery" + suffix + ".json";
   std::ofstream outf(path);

@@ -46,10 +46,13 @@ void RunHadoop(double ratios[], int num_ratios) {
   }
 }
 
-void RunM3R(double ratios[], int num_ratios, const char* pipeline) {
+/// `flush_bytes` is the m3r.shuffle.flush.bytes value; `label` names it in
+/// the banner.
+void RunM3R(double ratios[], int num_ratios, const char* label,
+            const char* flush_bytes) {
   bench::Banner(std::string("Figure 6 (right): M3R engine, seconds per "
-                            "iteration, shuffle pipeline=") +
-                pipeline);
+                            "iteration, shuffle ") +
+                label);
   std::printf("(input repartitioned once ahead of time; intermediate\n"
               " outputs marked temporary; previous input deleted per §6.1)\n");
   bench::Table table({"remote_pct", "repart_s", "iter1_s", "iter2_s",
@@ -86,11 +89,7 @@ void RunM3R(double ratios[], int num_ratios, const char* pipeline) {
       api::JobConf job = workloads::MakeMicroJob(
           input, output, kPartitions, ratios[r],
           static_cast<uint64_t>(it + 1));
-      job.Set(api::conf::kShufflePipeline, pipeline);
-      // Small enough that every lane ships several runs at this scale.
-      if (std::string(pipeline) == "on") {
-        job.Set(api::conf::kShuffleFlushBytes, "16384");
-      }
+      job.Set(api::conf::kShuffleFlushBytes, flush_bytes);
       api::JobResult result = engine.Submit(job);
       M3R_CHECK(result.ok()) << result.status.ToString();
       row.push_back(result.sim_seconds);
@@ -117,10 +116,11 @@ int main() {
               (unsigned long long)m3r::kValueBytes, m3r::kPartitions);
   double ratios[] = {0.0, 0.2, 0.4, 0.6, 0.8, 1.0};
   m3r::RunHadoop(ratios, 6);
-  // The M3R side sweeps both shuffle modes: the barrier batch (the paper's
-  // shape) and the §15 pipelined runs that overlap map compute with wire
-  // time.
-  m3r::RunM3R(ratios, 6, "off");
-  m3r::RunM3R(ratios, 6, "on");
+  // The M3R side sweeps two flush thresholds: one above every lane, so the
+  // whole shuffle ships at the barrier (the paper's shape), and one small
+  // enough that every lane streams several §15 runs at this scale,
+  // overlapping map compute with wire time.
+  m3r::RunM3R(ratios, 6, "barrier drain", "1073741824");
+  m3r::RunM3R(ratios, 6, "flush=16384", "16384");
   return 0;
 }

@@ -2,9 +2,11 @@
 // fig6 (shuffle micro) and fig8 (WordCount) configurations, and records
 // every run as a JSON record
 //   {bench, config, wall_seconds, sim_seconds, wire_bytes, counters}
-// in BENCH_shuffle.json / BENCH_wordcount.json. CI runs it as a smoke
-// (valid JSON + byte-identical outputs, no perf thresholds); committed
-// files record how the numbers move PR over PR.
+// in BENCH_shuffle.json / BENCH_wordcount.json. CI runs it as a smoke:
+// valid JSON, byte-identical outputs across every arm, and, on the fig6
+// and fig8 configs, early run flushes beating the barrier drain in
+// simulated seconds. Committed files record how the numbers move PR over
+// PR.
 //
 //   run_bench [--out-dir DIR] [--suffix S]
 //
@@ -130,9 +132,16 @@ int64_t Counter(const api::JobResult& r, const char* name) {
   return r.counters.Get(api::counters::kTaskGroup, name);
 }
 
-/// Copies the §15 pipelined-shuffle metrics (first-reduce latency, runs
-/// shipped, overflow spills, peak run-pool bytes) into a record's counter
-/// map when the run produced them.
+/// Flush threshold above any lane's size: every lane ships once, at the
+/// barrier (DESIGN.md §15).
+constexpr char kBarrierDrainFlushBytes[] = "1073741824";
+/// Small enough that every lane streams several runs at smoke scale — the
+/// overlap fig6/fig8 measure against the barrier drain.
+constexpr char kEarlyFlushBytes[] = "16384";
+
+/// Copies the §15 shuffle-run metrics (first-reduce latency, runs shipped,
+/// overflow spills, peak run-pool bytes) into a record's counter map when
+/// the run produced them.
 void AddShuffleMetrics(const api::JobResult& result, Record* r) {
   for (const char* name :
        {"time_to_first_reduce_ms", "shuffle_runs_shipped",
@@ -215,7 +224,7 @@ void RunSortMicro(std::vector<Record>* out) {
 void RunShuffleMicro(std::vector<Record>* out) {
   bench::Banner(
       "Figure 6 smoke: shuffle micro (4000 x 512B, 32 parts), "
-      "pipeline off/on");
+      "barrier drain vs early flush");
   constexpr uint64_t kPairs = 4000;
   constexpr uint64_t kValueBytes = 512;
   constexpr int kPartitions = 32;
@@ -223,16 +232,16 @@ void RunShuffleMicro(std::vector<Record>* out) {
   struct Arm {
     const char* config;
     bool use_m3r;
-    const char* pipeline;  // nullptr = not an M3R knob run (Hadoop)
+    const char* flush_bytes;  // nullptr = not an M3R knob run (Hadoop)
   };
   const Arm arms[] = {
       {"hadoop", false, nullptr},
-      {"m3r pipeline=off", true, "off"},
-      {"m3r pipeline=on", true, "on"},
+      {"m3r flush=barrier", true, kBarrierDrainFlushBytes},
+      {"m3r flush=16384", true, kEarlyFlushBytes},
   };
-  bench::Table table({"m3r", "pipelined", "wall_s", "sim_s", "wire_kb"});
+  bench::Table table({"m3r", "early_flush", "wall_s", "sim_s", "wire_kb"});
   int64_t reference_records = -1;
-  double sim_off = 0, sim_on = 0;
+  double sim_barrier = 0, sim_early = 0;
   for (const Arm& arm : arms) {
     auto fs = bench::PaperDfs();
     M3R_CHECK_OK(workloads::GenerateMicroInput(*fs, "/micro/in", kPairs,
@@ -247,13 +256,9 @@ void RunShuffleMicro(std::vector<Record>* out) {
     }
     api::JobConf job = workloads::MakeMicroJob("/micro/in", "/micro/out",
                                                kPartitions, kRemoteRatio, 1);
-    const bool pipelined =
-        arm.pipeline != nullptr && std::string(arm.pipeline) == "on";
-    if (arm.pipeline != nullptr) {
-      job.Set(api::conf::kShufflePipeline, arm.pipeline);
-      // A flush threshold small enough that every lane streams several
-      // runs at this scale — the overlap the figure is about.
-      if (pipelined) job.Set(api::conf::kShuffleFlushBytes, "16384");
+    const bool early = arm.flush_bytes == kEarlyFlushBytes;
+    if (arm.flush_bytes != nullptr) {
+      job.Set(api::conf::kShuffleFlushBytes, arm.flush_bytes);
     }
     api::JobResult result;
     double wall = WallSeconds([&] { result = engine->Submit(job); });
@@ -279,22 +284,18 @@ void RunShuffleMicro(std::vector<Record>* out) {
         {"reduce_output_records", reduce_records},
     };
     AddShuffleMetrics(result, &r);
-    if (arm.pipeline != nullptr) {
-      (pipelined ? sim_on : sim_off) = r.sim_seconds;
-      if (pipelined) {
-        M3R_CHECK(result.metrics.at("shuffle_runs_shipped") > 0)
-            << "pipelined arm shipped no runs";
-      }
+    if (arm.flush_bytes != nullptr) {
+      (early ? sim_early : sim_barrier) = r.sim_seconds;
     }
-    table.Row({arm.use_m3r ? 1.0 : 0.0, pipelined ? 1.0 : 0.0, wall,
+    table.Row({arm.use_m3r ? 1.0 : 0.0, early ? 1.0 : 0.0, wall,
                r.sim_seconds, r.wire_bytes / 1024.0});
     out->push_back(std::move(r));
   }
-  M3R_CHECK(sim_on < sim_off)
-      << "pipelined shuffle must beat the barrier batch: on=" << sim_on
-      << " off=" << sim_off;
-  std::printf("pipelined sim %.3fs vs barrier %.3fs (%.1f%% faster)\n",
-              sim_on, sim_off, 100.0 * (1.0 - sim_on / sim_off));
+  M3R_CHECK(sim_early < sim_barrier)
+      << "early run flushes must beat the barrier drain: early="
+      << sim_early << " barrier=" << sim_barrier;
+  std::printf("early-flush sim %.3fs vs barrier drain %.3fs (%.1f%% faster)\n",
+              sim_early, sim_barrier, 100.0 * (1.0 - sim_early / sim_barrier));
 }
 
 // --- Overflow config: partition budget below the working set ---
@@ -322,20 +323,19 @@ std::vector<std::string> SortedSequenceRecords(dfs::FileSystem& fs,
 }
 
 /// All-remote micro shuffle whose per-partition run bytes are several times
-/// m3r.shuffle.partition.budget.mb: the barrier batch holds the whole
-/// working set resident, the budgeted pipelined run cannot — whole runs
-/// overflow through the checkpoint spill and merge back lazily at reduce,
-/// with identical records out.
+/// m3r.shuffle.partition.budget.mb: the unbudgeted barrier drain holds the
+/// whole working set resident, the budgeted early-flush run cannot — whole
+/// runs overflow through the checkpoint spill and merge back lazily at
+/// reduce, with identical records out.
 void RunShuffleOverflow(std::vector<Record>* out) {
   bench::Banner(
       "Overflow: 8000 x 1KB all-remote into 4 partitions, budget 1MB");
   constexpr uint64_t kPairs = 8000;
   constexpr uint64_t kValueBytes = 1024;
   constexpr int kPartitions = 4;
-  bench::Table table({"pipelined", "budget_mb", "sim_s", "spills"});
+  bench::Table table({"early_flush", "budget_mb", "sim_s", "spills"});
   std::vector<std::string> reference;
-  for (const char* pipeline : {"off", "on"}) {
-    const bool pipelined = std::string(pipeline) == "on";
+  for (const bool budgeted : {false, true}) {
     auto fs = bench::PaperDfs();
     M3R_CHECK_OK(workloads::GenerateMicroInput(*fs, "/micro/in", kPairs,
                                                kValueBytes, kPartitions, 42,
@@ -343,10 +343,11 @@ void RunShuffleOverflow(std::vector<Record>* out) {
     engine::M3REngine engine(fs, bench::M3ROpts());
     api::JobConf job = workloads::MakeMicroJob("/micro/in", "/micro/out",
                                                kPartitions, 1.0, 1);
-    job.Set(api::conf::kShufflePipeline, pipeline);
-    if (pipelined) {
-      job.Set(api::conf::kShuffleFlushBytes, "16384");
+    if (budgeted) {
+      job.Set(api::conf::kShuffleFlushBytes, kEarlyFlushBytes);
       job.Set(api::conf::kShufflePartitionBudgetMb, "1");
+    } else {
+      job.Set(api::conf::kShuffleFlushBytes, kBarrierDrainFlushBytes);
     }
     api::JobResult result;
     double wall = WallSeconds([&] { result = engine.Submit(job); });
@@ -358,13 +359,13 @@ void RunShuffleOverflow(std::vector<Record>* out) {
       M3R_CHECK(reference.size() == kPairs);
     } else {
       M3R_CHECK(rows == reference)
-          << "overflow run diverged from the barrier baseline";
+          << "overflow run diverged from the barrier-drain baseline";
     }
 
     Record r;
     r.bench = "shuffle_overflow";
-    r.config = std::string("m3r pipeline=") + pipeline +
-               (pipelined ? " budget=1MB" : "") +
+    r.config = std::string(budgeted ? "m3r flush=16384 budget=1MB"
+                                    : "m3r flush=barrier") +
                " pairs=8000 value=1024 partitions=4 remote=1.0";
     r.wall_seconds = wall;
     r.sim_seconds = result.sim_seconds;
@@ -376,20 +377,19 @@ void RunShuffleOverflow(std::vector<Record>* out) {
          Counter(result, api::counters::kReduceOutputRecords)},
     };
     AddShuffleMetrics(result, &r);
-    int64_t spills = 0;
-    if (pipelined) {
-      spills = result.metrics.at("shuffle_overflow_spills");
+    const int64_t spills = result.metrics.at("shuffle_overflow_spills");
+    if (budgeted) {
       M3R_CHECK(spills > 0) << "budget never bit: no overflow spills";
       M3R_CHECK(result.metrics.at("shuffle_max_partition_run_bytes") >
                 (int64_t{1} << 20))
           << "working set fit the budget; config too small";
     }
-    table.Row({pipelined ? 1.0 : 0.0, pipelined ? 1.0 : 0.0,
+    table.Row({budgeted ? 1.0 : 0.0, budgeted ? 1.0 : 0.0,
                r.sim_seconds, static_cast<double>(spills)});
     out->push_back(std::move(r));
   }
-  std::printf("budgeted pipelined run spilled and matched the barrier "
-              "baseline record-for-record\n");
+  std::printf("budgeted early-flush run spilled and matched the barrier "
+              "drain record-for-record\n");
 }
 
 // --- fig8 WordCount, small scale, hash-combine off/on + repair mode ---
@@ -436,21 +436,22 @@ void RunWordCount(std::vector<Record>* out) {
     bool use_m3r;
     bool hash_combine;
     bool repair;
-    const char* pipeline = nullptr;  // nullptr = engine default
+    const char* flush_bytes = nullptr;  // nullptr = engine default
   };
   const Run runs[] = {
       {"hadoop combine=off", false, false, false},
       {"hadoop combine=on", false, true, false},
       {"m3r combine=off", true, false, false},
-      {"m3r combine=on pipeline=off", true, true, false, "off"},
-      {"m3r combine=on", true, true, false, "on"},
+      {"m3r combine=on flush=barrier", true, true, false,
+       kBarrierDrainFlushBytes},
+      {"m3r combine=on flush=16384", true, true, false, kEarlyFlushBytes},
       {"hadoop combine=on repair+corrupt.spill", false, true, true},
       {"m3r combine=on repair+corrupt.channel.frame", true, true, true},
   };
   bench::Table table({"m3r", "combine", "repair", "sim_s", "wire_kb"});
   std::vector<std::string> reference;
   int64_t wire_off = 0, wire_on = 0;
-  double sim_barrier = 0, sim_pipelined = 0;
+  double sim_barrier = 0, sim_early = 0;
   for (const Run& run : runs) {
     auto fs = dfs::MakeSimDfs(spec.num_nodes, 16 * 1024);
     M3R_CHECK_OK(
@@ -467,11 +468,8 @@ void RunWordCount(std::vector<Record>* out) {
                                                    kReducers, true);
     job.Set(api::conf::kPlaceWorkers, "1");
     if (run.hash_combine) job.Set(api::conf::kMapHashCombine, "true");
-    if (run.pipeline != nullptr) {
-      job.Set(api::conf::kShufflePipeline, run.pipeline);
-      if (std::string(run.pipeline) == "on") {
-        job.Set(api::conf::kShuffleFlushBytes, "16384");
-      }
+    if (run.flush_bytes != nullptr) {
+      job.Set(api::conf::kShuffleFlushBytes, run.flush_bytes);
     }
     if (run.repair) {
       job.Set(api::conf::kIntegrityMode, "repair");
@@ -525,8 +523,8 @@ void RunWordCount(std::vector<Record>* out) {
     if (run.use_m3r && !run.repair) {
       (run.hash_combine ? wire_on : wire_off) = r.wire_bytes;
     }
-    if (run.pipeline != nullptr) {
-      (std::string(run.pipeline) == "on" ? sim_pipelined : sim_barrier) =
+    if (run.flush_bytes != nullptr) {
+      (run.flush_bytes == kEarlyFlushBytes ? sim_early : sim_barrier) =
           r.sim_seconds;
     }
     table.Row({run.use_m3r ? 1.0 : 0.0, run.hash_combine ? 1.0 : 0.0,
@@ -535,16 +533,16 @@ void RunWordCount(std::vector<Record>* out) {
     out->push_back(std::move(r));
   }
   M3R_CHECK(wire_off > 0 && wire_on > 0);
-  M3R_CHECK(sim_pipelined < sim_barrier)
-      << "pipelined WordCount must beat the barrier batch: on="
-      << sim_pipelined << " off=" << sim_barrier;
+  M3R_CHECK(sim_early < sim_barrier)
+      << "early-flush WordCount must beat the barrier drain: early="
+      << sim_early << " barrier=" << sim_barrier;
   std::printf("all seven runs byte-identical; m3r shuffle wire bytes: "
-              "off=%lld on=%lld (cut %.1f%%); pipelined sim %.3fs vs "
-              "barrier %.3fs\n",
+              "combine off=%lld on=%lld (cut %.1f%%); early-flush sim "
+              "%.3fs vs barrier drain %.3fs\n",
               static_cast<long long>(wire_off),
               static_cast<long long>(wire_on),
               100.0 * (1.0 - double(wire_on) / double(wire_off)),
-              sim_pipelined, sim_barrier);
+              sim_early, sim_barrier);
 }
 
 }  // namespace

@@ -61,9 +61,9 @@ inline constexpr char kDedupedObjects[] = "DEDUPED_OBJECTS";
 inline constexpr char kDedupSavedBytes[] = "DEDUP_SAVED_BYTES";
 inline constexpr char kClonedPairs[] = "CLONED_PAIRS";
 inline constexpr char kAliasedPairs[] = "ALIASED_PAIRS";
-// Pipelined shuffle (m3r.shuffle.pipeline=on): lane segments sealed as
-// sorted runs and shipped before the map barrier, and whole runs spilled
-// through the checkpoint path when a partition crossed its resident budget.
+// Shuffle runs: lane flushes shipped as sorted runs (early flushes plus the
+// barrier drain of every non-empty lane), and whole runs spilled through
+// the checkpoint path when a partition crossed its resident budget.
 inline constexpr char kShuffleRunsShipped[] = "SHUFFLE_RUNS_SHIPPED";
 inline constexpr char kShuffleOverflowSpills[] = "SHUFFLE_OVERFLOW_SPILLS";
 // Memory governance (src/memgov): per-job deltas except BYTES_RESIDENT,

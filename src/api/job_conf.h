@@ -74,17 +74,17 @@ inline constexpr char kMapHashCombineMemoryMb[] =
 /// (parallel sorted runs + pairwise merges).
 inline constexpr char kSortParallelThreshold[] =
     "m3r.sort.parallel.threshold";
-/// Pipelined shuffle: "on" (default) streams map output to reducer places
-/// as sorted runs whenever a lane crosses the flush threshold, so wire time
-/// and run sorting overlap map compute and the post-barrier shuffle span
-/// only pays the residual; "off" restores the barrier-batch exchange.
-inline constexpr char kShufflePipeline[] = "m3r.shuffle.pipeline";
 /// Buffered bytes per shuffle lane before the lane segment is sealed as a
-/// sorted run and shipped (pipelined mode only; default 262144).
+/// sorted run and shipped to its reducer place (default 262144), so wire
+/// time and run sorting overlap map compute and the post-barrier shuffle
+/// span only pays the residual. A value above every lane's size ships
+/// everything at the barrier. Must be positive: anything else, including
+/// unparseable text, fails the job at submit with InvalidArgument.
 inline constexpr char kShuffleFlushBytes[] = "m3r.shuffle.flush.bytes";
 /// Resident-run budget per reduce partition in MiB; crossing it spills
 /// whole sorted runs through the checkpoint path, to be merged back lazily
-/// at reduce time. 0 (default) = unlimited.
+/// at reduce time. 0 (default) = unlimited; negative values fail the job
+/// at submit with InvalidArgument.
 inline constexpr char kShufflePartitionBudgetMb[] =
     "m3r.shuffle.partition.budget.mb";
 

@@ -51,18 +51,6 @@ size_t BufferPool::SizeHint(const std::string& category) const {
   return it == categories_.end() ? 0 : it->second.size_hint;
 }
 
-void BufferPool::ObserveCount(const std::string& category, size_t count) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Category& cat = categories_[category];
-  cat.count_hint = Decay(cat.count_hint, count);
-}
-
-size_t BufferPool::CountHint(const std::string& category) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = categories_.find(category);
-  return it == categories_.end() ? 0 : it->second.count_hint;
-}
-
 uint64_t BufferPool::acquired() const {
   std::lock_guard<std::mutex> lock(mu_);
   return acquired_;

@@ -15,9 +15,7 @@ namespace m3r {
 /// job sequence so that steady-state iterative jobs stop round-tripping
 /// their shuffle wire buffers through the allocator: the pool remembers,
 /// per category, how big released buffers tend to be (a decaying running
-/// max) and pre-reserves that capacity on Acquire. Categories that count
-/// elements rather than bytes (e.g. scratch vector sizes) can use
-/// ObserveCount/CountHint with the same decay.
+/// max) and pre-reserves that capacity on Acquire.
 class BufferPool {
  public:
   /// Returns an empty string whose capacity is at least the category's
@@ -32,16 +30,12 @@ class BufferPool {
   /// Capacity Acquire would currently reserve for this category.
   size_t SizeHint(const std::string& category) const;
 
-  /// Records an element-count observation (decaying max, like byte sizes).
-  void ObserveCount(const std::string& category, size_t count);
-  size_t CountHint(const std::string& category) const;
-
   /// Total capacity currently retained on the freelists — the bytes the
   /// pool pins between jobs. Exposed as a polled gauge to the memory
   /// governor ("shuffle.pool" consumer).
   uint64_t ResidentBytes() const;
 
-  /// Frees every retained buffer and resets all size/count hints. Called
+  /// Frees every retained buffer and resets all size hints. Called
   /// when a job is cancelled mid-shuffle: the hints a torn-down exchange
   /// decayed into the pool describe a job that never finished, and holding
   /// its buffers until the next job would pin memory for no one.
@@ -55,7 +49,6 @@ class BufferPool {
   struct Category {
     std::vector<std::string> free;
     size_t size_hint = 0;
-    size_t count_hint = 0;
   };
 
   /// Freelist depth per category; beyond this, released buffers are freed.

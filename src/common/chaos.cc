@@ -137,16 +137,15 @@ std::vector<std::pair<std::string, std::string>> ChaosSchedule::JobOverrides(
     }
   }
 
-  // Pipelined-shuffle knobs (DESIGN.md §15): most jobs stream with a flush
+  // Shuffle-run knobs (DESIGN.md §15): most jobs stream with a flush
   // threshold small enough that runs actually ship mid-map (so crashes and
-  // channel faults land between flushes), some pin the barrier batch so
-  // both modes keep soaking, and an occasional one-MB partition budget
-  // drives whole runs through the overflow spill path under chaos.
+  // channel faults land between flushes), some set one above every lane so
+  // the barrier drain keeps soaking, and an occasional one-MB partition
+  // budget drives whole runs through the overflow spill path under chaos.
   if (Mix(job, 40) % 4 == 0) {
-    out.emplace_back("m3r.shuffle.pipeline", "off");
+    out.emplace_back("m3r.shuffle.flush.bytes", "1073741824");
   } else {
     static const char* const kFlushBytes[] = {"1024", "8192", "65536"};
-    out.emplace_back("m3r.shuffle.pipeline", "on");
     out.emplace_back("m3r.shuffle.flush.bytes", kFlushBytes[Mix(job, 41) % 3]);
     if (Mix(job, 42) % 3 == 0) {
       out.emplace_back("m3r.shuffle.partition.budget.mb", "1");

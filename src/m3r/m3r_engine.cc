@@ -448,7 +448,7 @@ struct M3REngine::TaskPlan {
 
 namespace {
 
-/// Overflow-run storage for the pipelined shuffle: one DFS file per spilled
+/// Overflow-run storage for the shuffle's run sets: one DFS file per spilled
 /// run under the job's checkpoint-root scratch directory. The exchange
 /// stamps/verifies run CRCs itself, so this sink is plain byte transport.
 class CheckpointRunSpillSink : public RunSpillSink {
@@ -557,9 +557,9 @@ M3REngine::M3REngine(std::shared_ptr<dfs::FileSystem> base_fs,
                                     nullptr, nullptr);
   });
   governor_.RegisterGauge("shuffle.pool", [this] {
-    // Pooled lane buffers plus the running job's resident sorted runs
-    // (pipelined shuffle) — both are shuffle-owned memory the governor
-    // meters against the budget.
+    // Pooled lane buffers plus the running job's resident sorted runs —
+    // both are shuffle-owned memory the governor meters against the
+    // budget.
     return buffer_pool_.ResidentBytes() +
            shuffle_run_bytes_.load(std::memory_order_relaxed);
   });
@@ -979,6 +979,23 @@ api::JobResult M3REngine::SubmitImpl(const api::JobConf& submitted_conf) {
   if (max_crashes < 0) {
     return Fail(Status::InvalidArgument(
         std::string("bad ") + api::conf::kPlaceRecoveryMaxCrashes));
+  }
+
+  // --- Shuffle run knobs (DESIGN.md §15). Unparseable text reads as 0, so
+  // it is rejected with the non-positive flush thresholds. ---
+  const int64_t flush_bytes =
+      conf.GetInt(api::conf::kShuffleFlushBytes, 256 * 1024);
+  if (flush_bytes <= 0) {
+    return Fail(Status::InvalidArgument(
+        std::string("bad ") + api::conf::kShuffleFlushBytes + ": " +
+        conf.Get(api::conf::kShuffleFlushBytes)));
+  }
+  const int64_t budget_mb =
+      conf.GetInt(api::conf::kShufflePartitionBudgetMb, 0);
+  if (budget_mb < 0) {
+    return Fail(Status::InvalidArgument(
+        std::string("bad ") + api::conf::kShufflePartitionBudgetMb + ": " +
+        conf.Get(api::conf::kShufflePartitionBudgetMb)));
   }
   // Scripted crash points "P:N[,P:N...]": place P dies when it is about to
   // start its (N+1)-th map task. Entries for places the job doesn't have
@@ -1534,42 +1551,31 @@ api::JobResult M3REngine::SubmitImpl(const api::JobConf& submitted_conf) {
   shuffle_options.integrity = integrity;
   shuffle_options.buffer_pool = &buffer_pool_;
 
-  // Pipelined shuffle (DESIGN.md §15): on by default for jobs with a
-  // reduce phase; "off" restores the barrier-batch exchange.
-  const bool pipelined =
-      num_reduce > 0 && conf.Get(api::conf::kShufflePipeline, "on") != "off";
-  // Declared before the exchange (reverse destruction order): the run
-  // comparator and spill sink must outlive it.
-  serialize::RawComparatorPtr run_sort_cmp;
-  sortkit::RawCompareFn run_cmp;
+  shuffle_options.flush_bytes = static_cast<size_t>(flush_bytes);
+  // Shuffle runs (DESIGN.md §15). Declared before the exchange (reverse
+  // destruction order): the run comparator and spill sink must outlive it.
   CheckpointRunSpillSink run_spill_sink(
       base_fs_.get(),
       std::string(kCheckpointRoot) + "/_shuffle/job" + std::to_string(salt));
-  if (pipelined) {
-    shuffle_options.pipeline = true;
-    shuffle_options.flush_bytes = static_cast<size_t>(
-        std::max<int64_t>(1, conf.GetInt(api::conf::kShuffleFlushBytes,
-                                         256 * 1024)));
-    const int64_t budget_mb =
-        conf.GetInt(api::conf::kShufflePartitionBudgetMb, 0);
-    if (budget_mb > 0) {
-      shuffle_options.partition_budget_bytes =
-          static_cast<size_t>(budget_mb) << 20;
-      shuffle_options.spill_sink = &run_spill_sink;
-    }
-    // Runs must sort exactly like the reduce-side SortPairs; the raw-byte
-    // default keeps the prefix-cached kernel, anything else routes through
-    // the job's comparator.
-    run_sort_cmp = api::SortComparator(conf);
-    if (std::string_view(run_sort_cmp->Name()) !=
-        serialize::BytesComparator::kName) {
-      run_cmp = [&run_sort_cmp](std::string_view a, std::string_view b) {
-        return run_sort_cmp->Compare(a, b);
-      };
-      shuffle_options.run_comparator = &run_cmp;
-    }
-    shuffle_options.resident_gauge = &shuffle_run_bytes_;
+  if (budget_mb > 0) {
+    shuffle_options.partition_budget_bytes =
+        static_cast<size_t>(budget_mb) << 20;
+    shuffle_options.spill_sink = &run_spill_sink;
   }
+  // Runs must sort exactly like the reduce-side SortPairs; the raw-byte
+  // default keeps the prefix-cached kernel, anything else routes through
+  // the job's comparator. Map-only jobs never sort.
+  serialize::RawComparatorPtr run_sort_cmp =
+      num_reduce > 0 ? api::SortComparator(conf) : nullptr;
+  sortkit::RawCompareFn run_cmp;
+  if (run_sort_cmp != nullptr && std::string_view(run_sort_cmp->Name()) !=
+                                     serialize::BytesComparator::kName) {
+    run_cmp = [&run_sort_cmp](std::string_view a, std::string_view b) {
+      return run_sort_cmp->Compare(a, b);
+    };
+    shuffle_options.run_comparator = &run_cmp;
+  }
+  shuffle_options.resident_gauge = &shuffle_run_bytes_;
   ShuffleExchange shuffle(num_places, shuffle_options);
 
   // --- Map phase (places run in parallel; each place fans its tasks out
@@ -2168,11 +2174,9 @@ api::JobResult M3REngine::SubmitImpl(const api::JobConf& submitted_conf) {
       // Orphan lanes this survivor delivers for dead destinations count as
       // its received traffic (it pulls them over the wire to decode).
       uint64_t recv = shuffle.OrphanWireBytesFor(p);
-      // Pipelined mode: runs shipped before the barrier overlap the map
-      // phase's compute; only the residual barrier drain — plus whatever
-      // pre-barrier wire time exceeded the map phase itself — extends the
-      // post-barrier span. With the pipeline off BarrierWireBytes equals
-      // WireBytes and the pre-barrier terms are zero.
+      // Runs shipped before the barrier overlap the map phase's compute;
+      // only the residual barrier drain — plus whatever pre-barrier wire
+      // time exceeded the map phase itself — extends the post-barrier span.
       uint64_t pre_send = 0, pre_recv = 0;
       for (int q = 0; q < num_places; ++q) {
         if (q != p) {
@@ -2243,28 +2247,26 @@ api::JobResult M3REngine::SubmitImpl(const api::JobConf& submitted_conf) {
     result.counters.Increment(api::counters::kM3rGroup,
                               api::counters::kClonedPairs,
                               static_cast<int64_t>(sstats.cloned_pairs));
-    if (pipelined) {
-      result.metrics["shuffle_runs_shipped"] =
-          static_cast<int64_t>(sstats.runs_shipped);
-      result.metrics["shuffle_runs_compacted"] =
-          static_cast<int64_t>(sstats.runs_compacted);
-      result.metrics["shuffle_overflow_spills"] =
-          static_cast<int64_t>(sstats.overflow_spills);
-      result.metrics["shuffle_pool_peak_bytes"] =
-          static_cast<int64_t>(sstats.peak_resident_run_bytes);
-      result.metrics["shuffle_max_partition_run_bytes"] =
-          static_cast<int64_t>(sstats.max_partition_run_bytes);
-      result.counters.Increment(api::counters::kM3rGroup,
-                                api::counters::kShuffleRunsShipped,
-                                static_cast<int64_t>(sstats.runs_shipped));
-      result.counters.Increment(api::counters::kM3rGroup,
-                                api::counters::kShuffleOverflowSpills,
-                                static_cast<int64_t>(sstats.overflow_spills));
-    }
+    result.metrics["shuffle_runs_shipped"] =
+        static_cast<int64_t>(sstats.runs_shipped);
+    result.metrics["shuffle_runs_compacted"] =
+        static_cast<int64_t>(sstats.runs_compacted);
+    result.metrics["shuffle_overflow_spills"] =
+        static_cast<int64_t>(sstats.overflow_spills);
+    result.metrics["shuffle_pool_peak_bytes"] =
+        static_cast<int64_t>(sstats.peak_resident_run_bytes);
+    result.metrics["shuffle_max_partition_run_bytes"] =
+        static_cast<int64_t>(sstats.max_partition_run_bytes);
+    result.counters.Increment(api::counters::kM3rGroup,
+                              api::counters::kShuffleRunsShipped,
+                              static_cast<int64_t>(sstats.runs_shipped));
+    result.counters.Increment(api::counters::kM3rGroup,
+                              api::counters::kShuffleOverflowSpills,
+                              static_cast<int64_t>(sstats.overflow_spills));
     result.time_breakdown["shuffle"] = shuffle_span + spec.m3r_barrier_s;
     const double reduce_start = phase_end + spec.m3r_barrier_s + shuffle_span;
-    // First reducer starts the moment the barrier drain lands — the
-    // pipeline's headline latency win.
+    // First reducer starts the moment the barrier drain lands — early
+    // flushing's headline latency win.
     result.metrics["time_to_first_reduce_ms"] =
         static_cast<int64_t>(std::llround(reduce_start * 1000.0));
 
@@ -2297,7 +2299,8 @@ api::JobResult M3REngine::SubmitImpl(const api::JobConf& submitted_conf) {
         CpuStopwatch sw;
         api::CountersReporter reporter(&result.counters);
 
-        // Sort + group (in-memory, same comparator semantics as Hadoop).
+        // Sort the local pairs (in-memory, same comparator semantics as
+        // Hadoop); the remote ones merge in below.
         const KVSeq& incoming = shuffle.PartitionPairs(p);
         std::vector<api::KeyedPair> pairs;
         pairs.reserve(incoming.size());
@@ -2322,77 +2325,74 @@ api::JobResult M3REngine::SubmitImpl(const api::JobConf& submitted_conf) {
         // The caller-thread share of the sort is already inside `sw`;
         // remember it so the task's generic compute isn't double-charged.
         const double sort_caller = sort_stats.caller_cpu_seconds;
-        // Pipelined mode: the partition's remote pairs arrived as sorted
-        // runs; k-way merge them with the (sorted) local pairs instead of
-        // re-sorting the whole partition. Equal keys drain local-first,
-        // then in (source place, lane, flush seq) order — the same order
-        // the barrier path's lane splice gives the stable sort.
-        if (pipelined) {
-          std::vector<SortedRun> runs;
-          rr.status = shuffle.CollectPartitionRuns(p, &runs);
-          if (!rr.status.ok()) return;
-          if (!runs.empty()) {
-            sortkit::RunMerger merger(shuffle_options.run_comparator);
-            size_t fed = 0;
+        // The partition's remote pairs arrived as sorted runs; k-way merge
+        // them with the (sorted) local pairs instead of re-sorting the
+        // whole partition. Equal keys drain local-first, then in (source
+        // place, lane, flush seq) order.
+        std::vector<SortedRun> runs;
+        rr.status = shuffle.CollectPartitionRuns(p, &runs);
+        if (!rr.status.ok()) return;
+        if (!runs.empty()) {
+          sortkit::RunMerger merger(shuffle_options.run_comparator);
+          size_t fed = 0;
+          merger.AddRun(
+              [&pairs, &fed](std::string_view* k, std::string_view* v) {
+                if (fed >= pairs.size()) return false;
+                *k = pairs[fed].key_bytes;
+                *v = std::string_view();
+                ++fed;
+                return true;
+              },
+              /*ordinal=*/0);
+          std::vector<serialize::DataInput> ins;
+          ins.reserve(runs.size());
+          uint64_t remote_records = 0;
+          for (const SortedRun& run : runs) {
+            remote_records += run.records;
+            ins.emplace_back(std::string_view(run.bytes));
+          }
+          std::unordered_map<uint64_t, const SortedRun*> run_of;
+          run_of.reserve(runs.size());
+          for (size_t i = 0; i < runs.size(); ++i) {
+            serialize::DataInput* in = &ins[i];
+            const uint64_t ord = RunOrdinal(runs[i].src_place,
+                                            runs[i].worker_lane,
+                                            runs[i].seq);
+            run_of.emplace(ord, &runs[i]);
             merger.AddRun(
-                [&pairs, &fed](std::string_view* k, std::string_view* v) {
-                  if (fed >= pairs.size()) return false;
-                  *k = pairs[fed].key_bytes;
-                  *v = std::string_view();
-                  ++fed;
+                [in](std::string_view* k, std::string_view* v) {
+                  if (in->AtEnd()) return false;
+                  *k = in->ReadStringView();
+                  *v = in->ReadStringView();
                   return true;
                 },
-                /*ordinal=*/0);
-            std::vector<serialize::DataInput> ins;
-            ins.reserve(runs.size());
-            uint64_t remote_records = 0;
-            for (const SortedRun& run : runs) {
-              remote_records += run.records;
-              ins.emplace_back(std::string_view(run.bytes));
-            }
-            std::unordered_map<uint64_t, const SortedRun*> run_of;
-            run_of.reserve(runs.size());
-            for (size_t i = 0; i < runs.size(); ++i) {
-              serialize::DataInput* in = &ins[i];
-              const uint64_t ord = RunOrdinal(runs[i].src_place,
-                                              runs[i].worker_lane,
-                                              runs[i].seq);
-              run_of.emplace(ord, &runs[i]);
-              merger.AddRun(
-                  [in](std::string_view* k, std::string_view* v) {
-                    if (in->AtEnd()) return false;
-                    *k = in->ReadStringView();
-                    *v = in->ReadStringView();
-                    return true;
-                  },
-                  ord);
-            }
-            std::vector<api::KeyedPair> merged;
-            merged.reserve(pairs.size() + remote_records);
-            std::string_view mk, mv;
-            uint64_t ord = 0;
-            size_t consumed = 0;
-            while (merger.Next(&mk, &mv, &ord)) {
-              if (ord == 0) {
-                merged.push_back(std::move(pairs[consumed++]));
-                continue;
-              }
-              const SortedRun* run = run_of.find(ord)->second;
-              api::KeyedPair kp;
-              kp.key_bytes.assign(mk.data(), mk.size());
-              kp.key =
-                  serialize::WritableRegistry::Instance().Create(
-                      run->key_type);
-              serialize::DeserializeFromString(kp.key_bytes, kp.key.get());
-              kp.value =
-                  serialize::WritableRegistry::Instance().Create(
-                      run->value_type);
-              serialize::DeserializeFromString(
-                  std::string(mv.data(), mv.size()), kp.value.get());
-              merged.push_back(std::move(kp));
-            }
-            pairs = std::move(merged);
+                ord);
           }
+          std::vector<api::KeyedPair> merged;
+          merged.reserve(pairs.size() + remote_records);
+          std::string_view mk, mv;
+          uint64_t ord = 0;
+          size_t consumed = 0;
+          while (merger.Next(&mk, &mv, &ord)) {
+            if (ord == 0) {
+              merged.push_back(std::move(pairs[consumed++]));
+              continue;
+            }
+            const SortedRun* run = run_of.find(ord)->second;
+            api::KeyedPair kp;
+            kp.key_bytes.assign(mk.data(), mk.size());
+            kp.key =
+                serialize::WritableRegistry::Instance().Create(
+                    run->key_type);
+            serialize::DeserializeFromString(kp.key_bytes, kp.key.get());
+            kp.value =
+                serialize::WritableRegistry::Instance().Create(
+                    run->value_type);
+            serialize::DeserializeFromString(
+                std::string(mv.data(), mv.size()), kp.value.get());
+            merged.push_back(std::move(kp));
+          }
+          pairs = std::move(merged);
         }
         reporter.IncrCounter(api::counters::kTaskGroup,
                              api::counters::kReduceInputRecords,

@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/sequence_file.h"
@@ -232,8 +233,13 @@ TEST(EngineEquivalence, MicroBenchmarkBinaryOutputsIdentical) {
   EXPECT_EQ(hadoop_records, m3r_records);
 }
 
-// --- Pipelined shuffle: the WordCount/SpMV equivalence matrix must hold
-// under both m3r.shuffle.pipeline modes (DESIGN.md §15) ---
+// --- Shuffle runs: the WordCount/SpMV equivalence matrix must hold under
+// both flush regimes (DESIGN.md §15): early flushes that stream runs
+// mid-map, and a threshold above every lane that ships everything at the
+// barrier ---
+
+/// Above any lane's size: every lane seals once, at the barrier.
+constexpr char kBarrierDrainFlushBytes[] = "1073741824";
 
 TEST(PipelineEquivalence, WordCountMatrixUnderBothShuffleModes) {
   auto hadoop_fs = dfs::MakeSimDfs(4, 16 * 1024);
@@ -246,31 +252,35 @@ TEST(PipelineEquivalence, WordCountMatrixUnderBothShuffleModes) {
   auto truth = ReadOutputLines(*hadoop_fs, "/out");
   ASSERT_FALSE(truth.empty());
 
-  for (const char* mode : {"off", "on"}) {
+  // Barrier drain first, then a threshold small enough that lanes stream
+  // several runs mid-map at this scale.
+  int64_t barrier_runs = 0;
+  for (const char* flush : {kBarrierDrainFlushBytes, "4096"}) {
+    const bool barrier = flush == kBarrierDrainFlushBytes;
     auto fs = dfs::MakeSimDfs(4, 16 * 1024);
     ASSERT_TRUE(workloads::GenerateText(*fs, "/in", 200 * 1024, 4, 99).ok());
     engine::M3REngine m3r(fs, {TestCluster()});
     api::JobConf job = workloads::MakeWordCountJob("/in", "/out", 3, true);
-    job.Set(api::conf::kShufflePipeline, mode);
-    // Small enough that lanes stream several runs mid-map at this scale.
-    if (std::string(mode) == "on") {
-      job.Set(api::conf::kShuffleFlushBytes, "4096");
-    }
+    job.Set(api::conf::kShuffleFlushBytes, flush);
     api::JobResult mr = m3r.Submit(job);
-    ASSERT_TRUE(mr.ok()) << mode << ": " << mr.status.ToString();
-    EXPECT_EQ(truth, ReadOutputLines(*fs, "/out")) << "pipeline=" << mode;
-    // Both modes report first-reduce latency; the ordering between them is
-    // a perf property asserted by run_bench on a config sized to show it —
-    // at this scale the two are within wall-clock measurement noise.
-    ASSERT_EQ(mr.metrics.count("time_to_first_reduce_ms"), 1u) << mode;
-    EXPECT_GT(mr.metrics.at("time_to_first_reduce_ms"), 0) << mode;
-    if (std::string(mode) == "on") {
-      EXPECT_GT(mr.metrics.at("shuffle_runs_shipped"), 0);
-      EXPECT_GT(mr.counters.Get(api::counters::kM3rGroup,
-                                api::counters::kShuffleRunsShipped),
-                0);
+    ASSERT_TRUE(mr.ok()) << flush << ": " << mr.status.ToString();
+    EXPECT_EQ(truth, ReadOutputLines(*fs, "/out")) << "flush=" << flush;
+    // Both regimes report first-reduce latency; the ordering between them
+    // is a perf property asserted by run_bench on a config sized to show
+    // it — at this scale the two are within wall-clock measurement noise.
+    ASSERT_EQ(mr.metrics.count("time_to_first_reduce_ms"), 1u) << flush;
+    EXPECT_GT(mr.metrics.at("time_to_first_reduce_ms"), 0) << flush;
+    const int64_t runs = mr.metrics.at("shuffle_runs_shipped");
+    EXPECT_EQ(mr.counters.Get(api::counters::kM3rGroup,
+                              api::counters::kShuffleRunsShipped),
+              runs);
+    if (barrier) {
+      // One flush per non-empty lane, so no same-lane chain to compact.
+      barrier_runs = runs;
+      EXPECT_GT(runs, 0);
+      EXPECT_EQ(mr.metrics.at("shuffle_runs_compacted"), 0);
     } else {
-      EXPECT_EQ(mr.metrics.count("shuffle_runs_shipped"), 0u);
+      EXPECT_GT(runs, barrier_runs);
     }
   }
 }
@@ -282,8 +292,9 @@ TEST(PipelineEquivalence, SpmvMatrixUnderBothShuffleModes) {
   params.sparsity = 0.05;
   params.num_partitions = 2;
 
+  // `flush_bytes` null leaves the job's conf alone (the Hadoop truth run).
   auto run = [&](bool use_m3r,
-                 const char* pipeline_mode) -> std::vector<double> {
+                 const char* flush_bytes) -> std::vector<double> {
     auto fs = dfs::MakeSimDfs(4, 256 * 1024);
     M3R_CHECK_OK(workloads::GenerateSpmvData(*fs, "/spmv/g", "/spmv/v",
                                              params));
@@ -303,7 +314,9 @@ TEST(PipelineEquivalence, SpmvMatrixUnderBothShuffleModes) {
                                                  "/spmv/temp-p",
                                                  "/spmv/temp-out", 2, 4);
     for (api::JobConf job : jobs) {
-      job.Set(api::conf::kShufflePipeline, pipeline_mode);
+      if (flush_bytes != nullptr) {
+        job.Set(api::conf::kShuffleFlushBytes, flush_bytes);
+      }
       auto result = engine->Submit(job);
       M3R_CHECK(result.ok()) << result.status.ToString();
     }
@@ -313,19 +326,18 @@ TEST(PipelineEquivalence, SpmvMatrixUnderBothShuffleModes) {
     return v.take();
   };
 
-  std::vector<double> truth = run(/*use_m3r=*/false, "off");
-  // Bit-identical doubles across the whole matrix: engine x pipeline mode.
-  EXPECT_EQ(run(false, "on"), truth);
-  EXPECT_EQ(run(true, "off"), truth);
-  EXPECT_EQ(run(true, "on"), truth);
+  std::vector<double> truth = run(/*use_m3r=*/false, nullptr);
+  // Bit-identical doubles across the matrix: engine x flush regime.
+  EXPECT_EQ(run(true, kBarrierDrainFlushBytes), truth);
+  EXPECT_EQ(run(true, "4096"), truth);
 }
 
 TEST(PipelineEquivalence, OverflowBudgetSpillsAndStaysByteIdentical) {
-  // A partition budget far below the working set: the pipelined run set
-  // cannot stay resident, so whole runs overflow through the checkpoint
-  // spill path and are merged back lazily at reduce — with the same bytes
-  // out as the unconstrained barrier batch, which had to hold everything.
-  auto run = [](const char* mode, const char* budget_mb,
+  // A partition budget far below the working set: the run set cannot stay
+  // resident, so whole runs overflow through the checkpoint spill path and
+  // are merged back lazily at reduce — with the same bytes out as the
+  // unbudgeted barrier drain, which had to hold everything.
+  auto run = [](const char* flush_bytes, const char* budget_mb,
                 api::JobResult* result_out) {
     auto fs = dfs::MakeSimDfs(4, 64 * 1024);
     M3R_CHECK_OK(
@@ -333,7 +345,9 @@ TEST(PipelineEquivalence, OverflowBudgetSpillsAndStaysByteIdentical) {
     engine::M3REngine m3r(fs, {TestCluster()});
     api::JobConf job = workloads::MakeMicroJob("/in", "/out", 4,
                                                /*remote_ratio=*/1.0, 7);
-    job.Set(api::conf::kShufflePipeline, mode);
+    if (flush_bytes != nullptr) {
+      job.Set(api::conf::kShuffleFlushBytes, flush_bytes);
+    }
     if (budget_mb != nullptr) {
       job.Set(api::conf::kShufflePartitionBudgetMb, budget_mb);
     }
@@ -356,9 +370,10 @@ TEST(PipelineEquivalence, OverflowBudgetSpillsAndStaysByteIdentical) {
   };
 
   api::JobResult barrier, constrained;
-  auto truth = run("off", nullptr, &barrier);
+  auto truth = run(kBarrierDrainFlushBytes, nullptr, &barrier);
   ASSERT_EQ(truth.size(), 8000u);
-  auto spilled = run("on", "1", &constrained);
+  EXPECT_EQ(barrier.metrics.at("shuffle_overflow_spills"), 0);
+  auto spilled = run(nullptr, "1", &constrained);
   EXPECT_EQ(spilled, truth);
   // The budget actually bit: runs spilled, the cumulative partition
   // footprint exceeded what the budget would let stay resident, yet the
@@ -369,6 +384,30 @@ TEST(PipelineEquivalence, OverflowBudgetSpillsAndStaysByteIdentical) {
   EXPECT_GT(constrained.counters.Get(api::counters::kM3rGroup,
                                      api::counters::kShuffleOverflowSpills),
             0);
+}
+
+TEST(PipelineEquivalence, BadShuffleKnobsFailAtSubmitWithInvalidArgument) {
+  // A flush threshold must be positive (unparseable text reads as 0) and a
+  // partition budget non-negative; neither is clamped into a silently
+  // different shuffle.
+  const std::pair<const char*, const char*> bad[] = {
+      {api::conf::kShuffleFlushBytes, "0"},
+      {api::conf::kShuffleFlushBytes, "-4096"},
+      {api::conf::kShuffleFlushBytes, "lots"},
+      {api::conf::kShufflePartitionBudgetMb, "-1"},
+  };
+  for (const auto& [key, value] : bad) {
+    SCOPED_TRACE(std::string(key) + "=" + value);
+    auto fs = dfs::MakeSimDfs(4, 16 * 1024);
+    ASSERT_TRUE(workloads::GenerateText(*fs, "/in", 16 * 1024, 2, 5).ok());
+    engine::M3REngine m3r(fs, {TestCluster()});
+    api::JobConf job = workloads::MakeWordCountJob("/in", "/out", 2, true);
+    job.Set(key, value);
+    api::JobResult result = m3r.Submit(job);
+    EXPECT_EQ(result.status.code(), StatusCode::kInvalidArgument)
+        << result.status.ToString();
+    EXPECT_FALSE(fs->Exists("/out/_SUCCESS"));
+  }
 }
 
 // --- Integrity repair mode: corruption at any boundary, same bytes out ---

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -345,6 +346,12 @@ struct TaskFaultCase {
   const char* site;
   const char* failure_metric;
 };
+
+// Without a printer gtest renders the case as its raw bytes, i.e. the
+// string pointers, so the listed test name changed from run to run.
+void PrintTo(const TaskFaultCase& c, std::ostream* os) {
+  *os << "{" << c.name << ", " << c.site << ", " << c.failure_metric << "}";
+}
 
 class HadoopTaskFaultTest : public ::testing::TestWithParam<TaskFaultCase> {};
 

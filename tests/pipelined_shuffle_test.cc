@@ -1,11 +1,12 @@
-// Stress + protocol tests for the pipelined shuffle (m3r.shuffle.pipeline):
+// Stress + protocol tests for the shuffle's sorted runs (DESIGN.md §15):
 // concurrent emit strands trigger early run flushes on their own threads
 // while other strands append/compact/spill runs into the same partitions,
 // then concurrent barrier drains seal the residuals. The delivered record
-// multiset must match the barrier-batch exchange run over the same plan,
-// the merged drain must be globally sorted, overflow budgets must spill
-// whole runs through the sink without losing a record, and recovery must
-// discard exactly the dead places' pre-barrier runs.
+// multiset must match an oracle built straight from the emission plan and
+// the barrier drain (a flush threshold above every lane) run over the same
+// plan, the merged drain must be globally sorted, overflow budgets must
+// spill whole runs through the sink without losing a record, and recovery
+// must discard exactly the dead places' pre-barrier runs.
 //
 // Meant to run under -DM3R_SANITIZE=thread as the data-race check for the
 // emit-time flush path (see check-sanitize).
@@ -15,9 +16,12 @@
 #include <atomic>
 #include <map>
 #include <mutex>
+#include <set>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/buffer_pool.h"
@@ -67,28 +71,58 @@ class MapSpillSink : public RunSpillSink {
   std::map<std::string, std::string> store_;
 };
 
+/// Above any lane's size: every lane seals once, at the barrier.
+constexpr size_t kBarrierDrainFlushBytes = size_t{1} << 30;
+
 ShuffleOptions PipelinedOptions(size_t flush_bytes) {
   ShuffleOptions opts;
   opts.num_partitions = kPartitions;
   opts.workers_per_place = kWorkers;
-  opts.pipeline = true;
   opts.flush_bytes = flush_bytes;
   return opts;
 }
 
-/// One strand's deterministic emission plan (mix of local/remote
-/// destinations, duplicate keys, cloned pairs).
+/// Pair `j` of one strand's deterministic emission plan (mix of
+/// local/remote destinations, duplicate keys, cloned pairs).
+struct PlannedPair {
+  int partition;
+  bool immutable;
+  WritablePtr key;
+  WritablePtr value;
+};
+
+PlannedPair PlanPair(int place, int lane, int j) {
+  return {(place + 3 * lane + j) % kPartitions, (j % 7) != 0,
+          std::make_shared<LongWritable>((place + lane + j) % 50),
+          std::make_shared<Text>("v" + std::to_string(place) + "." +
+                                 std::to_string(lane) + "." +
+                                 std::to_string(j))};
+}
+
 void EmitStrand(ShuffleExchange* shuffle, int place, int lane) {
   for (int j = 0; j < kEmitsPerStrand; ++j) {
-    int partition = (place + 3 * lane + j) % kPartitions;
-    bool immutable = (j % 7) != 0;
-    WritablePtr key =
-        std::make_shared<LongWritable>((place + lane + j) % 50);
-    WritablePtr value = std::make_shared<Text>(
-        "v" + std::to_string(place) + "." + std::to_string(lane) + "." +
-        std::to_string(j));
-    shuffle->Emit(place, partition, key, value, immutable, lane);
+    PlannedPair pair = PlanPair(place, lane, j);
+    shuffle->Emit(place, pair.partition, pair.key, pair.value,
+                  pair.immutable, lane);
   }
+}
+
+/// What every partition must deliver, straight from the emission plan:
+/// the sorted multiset of serialized "key|value".
+std::vector<std::vector<std::string>> PlanOracle() {
+  std::vector<std::vector<std::string>> oracle(kPartitions);
+  for (int place = 0; place < kPlaces; ++place) {
+    for (int lane = 0; lane < kWorkers; ++lane) {
+      for (int j = 0; j < kEmitsPerStrand; ++j) {
+        PlannedPair pair = PlanPair(place, lane, j);
+        oracle[static_cast<size_t>(pair.partition)].push_back(
+            SerializeToString(*pair.key) + "|" +
+            SerializeToString(*pair.value));
+      }
+    }
+  }
+  for (auto& view : oracle) std::sort(view.begin(), view.end());
+  return oracle;
 }
 
 void RunPlan(ShuffleExchange* shuffle, bool concurrent) {
@@ -118,9 +152,11 @@ void RunPlan(ShuffleExchange* shuffle, bool concurrent) {
 }
 
 /// Canonical multiset of everything a partition delivered: local pairs plus
-/// every sorted-run record, serialized the same way. Drains the runs.
-std::vector<std::string> PipelinedView(ShuffleExchange* shuffle,
-                                       int partition) {
+/// every sorted-run record, serialized the same way. Drains the runs, and
+/// hands them to `runs_out` when given.
+std::vector<std::string> PipelinedView(
+    ShuffleExchange* shuffle, int partition,
+    std::vector<SortedRun>* runs_out = nullptr) {
   std::vector<std::string> view;
   for (const auto& [k, v] : shuffle->PartitionPairs(partition)) {
     view.push_back(SerializeToString(*k) + "|" + SerializeToString(*v));
@@ -139,16 +175,7 @@ std::vector<std::string> PipelinedView(ShuffleExchange* shuffle,
     EXPECT_EQ(records, run.records);
   }
   std::sort(view.begin(), view.end());
-  return view;
-}
-
-std::vector<std::string> BarrierView(const ShuffleExchange& shuffle,
-                                     int partition) {
-  std::vector<std::string> view;
-  for (const auto& [k, v] : shuffle.PartitionPairs(partition)) {
-    view.push_back(SerializeToString(*k) + "|" + SerializeToString(*v));
-  }
-  std::sort(view.begin(), view.end());
+  if (runs_out != nullptr) *runs_out = std::move(runs);
   return view;
 }
 
@@ -159,22 +186,76 @@ TEST(PipelinedShuffleTest, ConcurrentPipelineMatchesBarrierExchange) {
   RunPlan(&pipelined, /*concurrent=*/true);
   ASSERT_TRUE(pipelined.status().ok());
 
-  ShuffleOptions barrier_opts;
-  barrier_opts.num_partitions = kPartitions;
-  barrier_opts.workers_per_place = kWorkers;
-  ShuffleExchange barrier(kPlaces, barrier_opts);
+  ShuffleExchange barrier(kPlaces, PipelinedOptions(kBarrierDrainFlushBytes));
   RunPlan(&barrier, /*concurrent=*/false);
+  ASSERT_TRUE(barrier.status().ok());
 
   ShuffleExchange::Stats ps = pipelined.ComputeStats();
-  EXPECT_GT(ps.runs_shipped, static_cast<uint64_t>(kPlaces * kWorkers));
-  EXPECT_GT(ps.peak_resident_run_bytes, 0u);
-  for (int p = 0; p < kPartitions; ++p) {
-    EXPECT_EQ(PipelinedView(&pipelined, p), BarrierView(barrier, p))
-        << "partition " << p;
-  }
   ShuffleExchange::Stats bs = barrier.ComputeStats();
+  EXPECT_GT(ps.runs_shipped, bs.runs_shipped);
+  EXPECT_GT(ps.peak_resident_run_bytes, 0u);
+  const auto oracle = PlanOracle();
+  for (int p = 0; p < kPartitions; ++p) {
+    EXPECT_EQ(PipelinedView(&pipelined, p), oracle[p]) << "partition " << p;
+    EXPECT_EQ(PipelinedView(&barrier, p), oracle[p]) << "partition " << p;
+  }
   EXPECT_EQ(ps.local_pairs, bs.local_pairs);
   EXPECT_EQ(ps.remote_pairs, bs.remote_pairs);
+  EXPECT_EQ(ps.local_pairs + ps.remote_pairs,
+            static_cast<uint64_t>(kPlaces) * kWorkers * kEmitsPerStrand);
+}
+
+TEST(PipelinedShuffleTest, BarrierDrainSealsOneRunPerLanePartition) {
+  // A flush threshold above every lane is the degenerate barrier drain:
+  // nothing ships before DeliverTo, each lane seals once, and that one
+  // flush cuts exactly one run per partition the lane carried.
+  ShuffleExchange shuffle(kPlaces, PipelinedOptions(kBarrierDrainFlushBytes));
+  RunPlan(&shuffle, /*concurrent=*/true);
+  ASSERT_TRUE(shuffle.status().ok());
+
+  using LanePartition = std::tuple<int, int, int>;  // (src, lane, partition)
+  std::multiset<LanePartition> expected;
+  std::set<std::tuple<int, int, int>> lanes;  // (src, dst, lane)
+  for (int place = 0; place < kPlaces; ++place) {
+    for (int lane = 0; lane < kWorkers; ++lane) {
+      std::set<int> partitions;
+      for (int j = 0; j < kEmitsPerStrand; ++j) {
+        const int p = PlanPair(place, lane, j).partition;
+        const int dst = shuffle.PlaceOfPartition(p);
+        if (dst == place) continue;  // local pairs never enter a lane
+        partitions.insert(p);
+        lanes.emplace(place, dst, lane);
+      }
+      for (int p : partitions) expected.emplace(place, lane, p);
+    }
+  }
+  ShuffleExchange::Stats stats = shuffle.ComputeStats();
+  EXPECT_EQ(stats.runs_shipped, lanes.size());
+  EXPECT_EQ(stats.runs_compacted, 0u);
+  for (int src = 0; src < kPlaces; ++src) {
+    for (int dst = 0; dst < kPlaces; ++dst) {
+      EXPECT_EQ(shuffle.BarrierWireBytes(src, dst),
+                shuffle.WireBytes(src, dst))
+          << src << "->" << dst;
+      if (src != dst) {
+        EXPECT_GT(shuffle.WireBytes(src, dst), 0u);
+      }
+    }
+  }
+
+  const auto oracle = PlanOracle();
+  std::multiset<LanePartition> sealed;
+  for (int p = 0; p < kPartitions; ++p) {
+    std::vector<SortedRun> runs;
+    EXPECT_EQ(PipelinedView(&shuffle, p, &runs), oracle[p])
+        << "partition " << p;
+    for (const SortedRun& run : runs) {
+      EXPECT_EQ(run.seq, 0u);
+      EXPECT_EQ(run.seq_last, 0u);
+      sealed.emplace(run.src_place, run.worker_lane, p);
+    }
+  }
+  EXPECT_EQ(sealed, expected);
 }
 
 TEST(PipelinedShuffleTest, RunsMergeIntoGlobalKeyOrderWithStableOrdinals) {
@@ -236,15 +317,10 @@ TEST(PipelinedShuffleTest, OverBudgetPartitionsSpillWholeRunsAndReload) {
   // The whole working set never fit the budget...
   EXPECT_GT(ps.max_partition_run_bytes, opts.partition_budget_bytes);
   // ...but no record was lost: the reloaded multiset still matches the
-  // barrier exchange.
-  ShuffleOptions barrier_opts;
-  barrier_opts.num_partitions = kPartitions;
-  barrier_opts.workers_per_place = kWorkers;
-  ShuffleExchange barrier(kPlaces, barrier_opts);
-  RunPlan(&barrier, /*concurrent=*/false);
+  // emission plan.
+  const auto oracle = PlanOracle();
   for (int p = 0; p < kPartitions; ++p) {
-    EXPECT_EQ(PipelinedView(&pipelined, p), BarrierView(barrier, p))
-        << "partition " << p;
+    EXPECT_EQ(PipelinedView(&pipelined, p), oracle[p]) << "partition " << p;
   }
   // Every partition was drained, so the external gauge is settled.
   EXPECT_EQ(gauge.load(), 0u);
@@ -287,8 +363,7 @@ TEST(PipelinedShuffleTest, EarlyFlushesRecycleWireBuffersThroughThePool) {
   ShuffleExchange shuffle(kPlaces, opts);
   // One strand, many flushes on the same lane: from the second flush on,
   // Acquire must be served from the buffers the earlier flushes released —
-  // the per-run recycle contract (a barrier-batch lane only recycles at
-  // exchange teardown).
+  // the per-run recycle contract.
   for (int j = 0; j < 2000; ++j) {
     shuffle.Emit(/*src_place=*/0, /*partition=*/1,
                  std::make_shared<LongWritable>(j),

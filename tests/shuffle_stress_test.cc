@@ -1,9 +1,11 @@
 // Concurrency stress for ShuffleExchange: many worker strands per source
 // place hammer Emit into lane-confined streams and the shared local
-// partitions, then every destination decodes in parallel. The outcome —
-// per-partition pair multisets, dedup stats, and per-(src,dst) wire bytes —
-// must match a single-threaded run of the same emission plan, because lanes
-// are strand-confined and therefore deterministic.
+// partitions, then every destination drains in parallel. Lanes stay under
+// the default flush threshold, so every remote pair ships in the barrier
+// drain. The per-partition pair multisets must match an oracle built from
+// the emission plan, and dedup stats and per-(src,dst) wire bytes must
+// match a single-threaded run of the same plan, because lanes are
+// strand-confined and therefore deterministic.
 //
 // Meant to run under -DM3R_SANITIZE=thread as the data-race check for the
 // intra-place worker pool.
@@ -13,11 +15,14 @@
 
 #include <algorithm>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/executor.h"
 #include "serialize/basic_writables.h"
+#include "serialize/io.h"
 #include "serialize/writable.h"
 
 namespace m3r::engine {
@@ -41,35 +46,81 @@ ShuffleOptions StressOptions(serialize::DedupMode mode) {
   return opts;
 }
 
-/// Replays one strand's deterministic emission plan. Every strand mixes
-/// local and remote destinations, clones (immutable=false) every 7th pair,
-/// and re-emits a per-strand broadcast value every 5th pair so kFull dedup
-/// has repeats to catch.
-void EmitStrand(ShuffleExchange* shuffle, int place, int lane) {
+struct PlannedPair {
+  int partition;
+  bool immutable;
+  WritablePtr key;
+  WritablePtr value;
+};
+
+/// One strand's deterministic emission plan. Every strand mixes local and
+/// remote destinations, clones (immutable=false) every 7th pair, and
+/// re-emits a per-strand broadcast value every 5th pair so kFull dedup has
+/// repeats to catch.
+std::vector<PlannedPair> StrandPlan(int place, int lane) {
   WritablePtr broadcast =
       std::make_shared<Text>("broadcast-" + std::to_string(place) + "-" +
                              std::to_string(lane));
+  std::vector<PlannedPair> plan;
   for (int j = 0; j < kEmitsPerStrand; ++j) {
-    int partition = (place + 3 * lane + j) % kPartitions;
-    bool immutable = (j % 7) != 0;
-    WritablePtr key = std::make_shared<LongWritable>(
-        place * 1000000 + lane * 10000 + j);
     WritablePtr value =
         (j % 5 == 0)
             ? broadcast
             : WritablePtr(std::make_shared<Text>(
                   "v" + std::to_string(place) + "." + std::to_string(lane) +
                   "." + std::to_string(j)));
-    shuffle->Emit(place, partition, key, value, immutable, lane);
+    plan.push_back({(place + 3 * lane + j) % kPartitions, (j % 7) != 0,
+                    std::make_shared<LongWritable>(place * 1000000 +
+                                                   lane * 10000 + j),
+                    std::move(value)});
+  }
+  return plan;
+}
+
+void EmitStrand(ShuffleExchange* shuffle, int place, int lane) {
+  for (const PlannedPair& pair : StrandPlan(place, lane)) {
+    shuffle->Emit(place, pair.partition, pair.key, pair.value,
+                  pair.immutable, lane);
   }
 }
 
-/// Canonical multiset view of a partition's pairs.
-std::vector<std::string> PartitionView(const ShuffleExchange& shuffle,
+std::string Record(std::string_view key, std::string_view value) {
+  return std::string(key) + "|" + std::string(value);
+}
+
+/// What every partition must deliver, straight from the emission plan:
+/// the sorted multiset of serialized "key|value".
+std::vector<std::vector<std::string>> PlanOracle() {
+  std::vector<std::vector<std::string>> oracle(kPartitions);
+  for (int place = 0; place < kPlaces; ++place) {
+    for (int lane = 0; lane < kWorkers; ++lane) {
+      for (const PlannedPair& pair : StrandPlan(place, lane)) {
+        oracle[static_cast<size_t>(pair.partition)].push_back(
+            Record(SerializeToString(*pair.key),
+                   SerializeToString(*pair.value)));
+      }
+    }
+  }
+  for (auto& view : oracle) std::sort(view.begin(), view.end());
+  return oracle;
+}
+
+/// Canonical multiset view of everything a partition delivered: local
+/// pairs plus every sorted-run record. Drains the partition's runs.
+std::vector<std::string> PartitionView(ShuffleExchange* shuffle,
                                        int partition) {
   std::vector<std::string> view;
-  for (const auto& [k, v] : shuffle.PartitionPairs(partition)) {
-    view.push_back(SerializeToString(*k) + "|" + SerializeToString(*v));
+  for (const auto& [k, v] : shuffle->PartitionPairs(partition)) {
+    view.push_back(Record(SerializeToString(*k), SerializeToString(*v)));
+  }
+  std::vector<SortedRun> runs;
+  EXPECT_TRUE(shuffle->CollectPartitionRuns(partition, &runs).ok());
+  for (const SortedRun& run : runs) {
+    serialize::DataInput in(std::string_view(run.bytes));
+    while (!in.AtEnd()) {
+      std::string_view k = in.ReadStringView();
+      view.push_back(Record(k, in.ReadStringView()));
+    }
   }
   std::sort(view.begin(), view.end());
   return view;
@@ -112,11 +163,12 @@ void RunStress(serialize::DedupMode mode, bool decode_with_executor) {
     reference.DeliverTo(place);
   }
 
-  // Pair counts and contents per partition match exactly.
+  // Pair counts and contents per partition match the plan exactly.
+  const auto oracle = PlanOracle();
   for (int p = 0; p < kPartitions; ++p) {
-    ASSERT_FALSE(reference.PartitionPairs(p).empty());
-    EXPECT_EQ(PartitionView(concurrent, p), PartitionView(reference, p))
-        << "partition " << p;
+    ASSERT_FALSE(oracle[p].empty());
+    EXPECT_EQ(PartitionView(&concurrent, p), oracle[p]) << "partition " << p;
+    EXPECT_EQ(PartitionView(&reference, p), oracle[p]) << "partition " << p;
   }
   // Wire bytes per (src, dst) match exactly: each lane's stream had one
   // writer emitting in deterministic order.
@@ -187,7 +239,7 @@ TEST(ShuffleStress, SingleWorkerMatchesLegacyLayout) {
   for (int place = 0; place < kPlaces; ++place) shuffle.DeliverTo(place);
   uint64_t total = 0;
   for (int p = 0; p < kPartitions; ++p) {
-    total += shuffle.PartitionPairs(p).size();
+    total += PartitionView(&shuffle, p).size();
   }
   EXPECT_EQ(total, 100u);
 }
