@@ -26,12 +26,12 @@ uint64_t HashBytes(std::string_view bytes) {
 /// pending serialized values, deserialized lazily as the combiner pulls.
 class SingleGroupSource : public GroupSource {
  public:
-  SingleGroupSource(const std::string& key_type,
-                    const std::string& value_type,
+  SingleGroupSource(const serialize::WritableRegistry::Factory& make_key,
+                    const serialize::WritableRegistry::Factory& make_value,
                     const std::string& key_bytes,
                     const std::vector<std::string>* values)
-      : value_type_(value_type), values_(values) {
-    key_ = serialize::WritableRegistry::Instance().Create(key_type);
+      : make_value_(make_value), values_(values) {
+    key_ = make_key();
     serialize::DeserializeFromString(key_bytes, key_.get());
   }
 
@@ -50,8 +50,7 @@ class SingleGroupSource : public GroupSource {
     bool HasNext() override { return pos_ < src_->values_->size(); }
     WritablePtr Next() override {
       M3R_CHECK(HasNext()) << "values iterator exhausted";
-      auto value = serialize::WritableRegistry::Instance().Create(
-          src_->value_type_);
+      auto value = src_->make_value_();
       serialize::DeserializeFromString((*src_->values_)[pos_++],
                                        value.get());
       return value;
@@ -62,7 +61,7 @@ class SingleGroupSource : public GroupSource {
     size_t pos_ = 0;
   };
 
-  std::string value_type_;
+  const serialize::WritableRegistry::Factory& make_value_;
   const std::vector<std::string>* values_;
   WritablePtr key_;
   bool consumed_ = false;
@@ -104,13 +103,15 @@ HashCombineCollector::HashCombineCollector(const JobConf& conf,
       downstream_(downstream),
       reporter_(reporter),
       memory_gauge_(memory_gauge),
-      key_type_(conf.MapOutputKeyClass()),
-      value_type_(conf.MapOutputValueClass()),
       budget_bytes_(static_cast<size_t>(
           conf.GetDouble(conf::kMapHashCombineMemoryMb, 64.0) *
           static_cast<double>(size_t{1} << 20))),
       slots_(64, -1) {
   M3R_CHECK(Eligible(conf)) << "hash combine on an ineligible job";
+  make_key_ =
+      serialize::WritableRegistry::Instance().Resolve(conf.MapOutputKeyClass());
+  make_value_ = serialize::WritableRegistry::Instance().Resolve(
+      conf.MapOutputValueClass());
 }
 
 HashCombineCollector::~HashCombineCollector() {
@@ -198,7 +199,7 @@ void HashCombineCollector::FoldEntry(Entry* entry) {
   for (const std::string& v : entry->values) {
     old_bytes += v.size() + kValueOverhead;
   }
-  SingleGroupSource group(key_type_, value_type_, entry->key_bytes,
+  SingleGroupSource group(make_key_, make_value_, entry->key_bytes,
                           &entry->values);
   std::vector<std::pair<std::string, std::string>> combined;
   CaptureCollector capture(&combined);
@@ -237,9 +238,9 @@ void HashCombineCollector::FoldEntry(Entry* entry) {
 
 void HashCombineCollector::EmitSerialized(const std::string& key_bytes,
                                           const std::string& value_bytes) {
-  auto key = serialize::WritableRegistry::Instance().Create(key_type_);
+  auto key = make_key_();
   serialize::DeserializeFromString(key_bytes, key.get());
-  auto value = serialize::WritableRegistry::Instance().Create(value_type_);
+  auto value = make_value_();
   serialize::DeserializeFromString(value_bytes, value.get());
   ++emitted_;
   downstream_->Collect(key, value);

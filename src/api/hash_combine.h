@@ -11,6 +11,7 @@
 #include "api/job_conf.h"
 #include "api/mr_api.h"
 #include "common/status.h"
+#include "serialize/registry.h"
 
 namespace m3r::api {
 
@@ -114,8 +115,9 @@ class HashCombineCollector : public OutputCollector {
   Reporter* reporter_;
   std::atomic<int64_t>* memory_gauge_;
   int64_t gauge_reported_ = 0;
-  std::string key_type_;
-  std::string value_type_;
+  /// Map output key/value factories, resolved once at construction.
+  serialize::WritableRegistry::Factory make_key_;
+  serialize::WritableRegistry::Factory make_value_;
   size_t budget_bytes_;
 
   /// Open-addressing index: slot -> entry index, -1 empty. Linear probing.

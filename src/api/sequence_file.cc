@@ -97,18 +97,17 @@ class SeqRecordReader : public RecordReader {
   SeqRecordReader(std::shared_ptr<const std::string> content, uint64_t start,
                   uint64_t length)
       : cursor_(std::move(content)),
+        make_key_(WritableRegistry::Instance().Resolve(cursor_.key_type())),
+        make_value_(
+            WritableRegistry::Instance().Resolve(cursor_.value_type())),
         end_(start + length),
         records_(""),
         in_(records_) {
     next_chunk_ = cursor_.NextSync(static_cast<size_t>(start));
   }
 
-  WritablePtr CreateKey() const override {
-    return WritableRegistry::Instance().Create(cursor_.key_type());
-  }
-  WritablePtr CreateValue() const override {
-    return WritableRegistry::Instance().Create(cursor_.value_type());
-  }
+  WritablePtr CreateKey() const override { return make_key_(); }
+  WritablePtr CreateValue() const override { return make_value_(); }
 
   bool Next(Writable& key, Writable& value) override {
     while (in_.AtEnd()) {
@@ -133,6 +132,9 @@ class SeqRecordReader : public RecordReader {
 
  private:
   SeqFileCursor cursor_;
+  // Resolved once: M3R creates a fresh key/value per record.
+  WritableRegistry::Factory make_key_;
+  WritableRegistry::Factory make_value_;
   uint64_t end_;
   size_t next_chunk_ = 0;
   std::string_view records_;

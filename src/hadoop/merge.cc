@@ -41,11 +41,13 @@ std::string MergeSegments(const std::vector<const std::string*>& segments,
 SegmentGroupSource::SegmentGroupSource(const api::JobConf& conf,
                                        const std::string* bytes)
     : reader_(bytes),
-      grouping_(api::GroupingComparator(conf)),
-      key_type_(conf.MapOutputKeyClass()),
-      value_type_(conf.MapOutputValueClass()) {
-  M3R_CHECK(!key_type_.empty() && !value_type_.empty())
+      grouping_(api::GroupingComparator(conf)) {
+  const std::string key_type = conf.MapOutputKeyClass();
+  const std::string value_type = conf.MapOutputValueClass();
+  M3R_CHECK(!key_type.empty() && !value_type.empty())
       << "job must configure (map) output key/value classes for reduce";
+  make_key_ = serialize::WritableRegistry::Instance().Resolve(key_type);
+  make_value_ = serialize::WritableRegistry::Instance().Resolve(value_type);
   has_pending_ = Advance();
 }
 
@@ -66,7 +68,7 @@ bool SegmentGroupSource::NextGroup() {
     return false;
   }
   group_key_bytes_.assign(pending_key_.data(), pending_key_.size());
-  group_key_ = serialize::WritableRegistry::Instance().Create(key_type_);
+  group_key_ = make_key_();
   serialize::DeserializeFromString(group_key_bytes_, group_key_.get());
   in_group_ = true;
   return true;
@@ -80,11 +82,8 @@ bool SegmentGroupSource::Iter::HasNext() { return src_->PendingInGroup(); }
 
 api::WritablePtr SegmentGroupSource::Iter::Next() {
   M3R_CHECK(HasNext()) << "values iterator exhausted";
-  auto value =
-      serialize::WritableRegistry::Instance().Create(src_->value_type_);
-  serialize::DeserializeFromString(
-      std::string(src_->pending_value_.data(), src_->pending_value_.size()),
-      value.get());
+  auto value = src_->make_value_();
+  serialize::DeserializeFromString(src_->pending_value_, value.get());
   src_->has_pending_ = src_->Advance();
   return value;
 }

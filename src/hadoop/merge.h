@@ -10,6 +10,7 @@
 #include "api/task_runner.h"
 #include "hadoop/spill.h"
 #include "serialize/comparators.h"
+#include "serialize/registry.h"
 
 namespace m3r::hadoop {
 
@@ -49,8 +50,9 @@ class SegmentGroupSource : public api::GroupSource {
 
   SegmentReader reader_;
   serialize::RawComparatorPtr grouping_;
-  std::string key_type_;
-  std::string value_type_;
+  /// Map output key/value factories, resolved once per source.
+  serialize::WritableRegistry::Factory make_key_;
+  serialize::WritableRegistry::Factory make_value_;
 
   bool has_pending_ = false;
   std::string_view pending_key_;

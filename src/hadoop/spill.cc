@@ -19,16 +19,18 @@ using serialize::WritableRegistry;
 std::vector<KeyedPair> DeserializeRange(
     const api::JobConf& conf,
     const std::vector<std::pair<std::string, std::string>>& records) {
-  std::string kt = conf.MapOutputKeyClass();
-  std::string vt = conf.MapOutputValueClass();
+  const WritableRegistry::Factory make_key =
+      WritableRegistry::Instance().Resolve(conf.MapOutputKeyClass());
+  const WritableRegistry::Factory make_value =
+      WritableRegistry::Instance().Resolve(conf.MapOutputValueClass());
   std::vector<KeyedPair> out;
   out.reserve(records.size());
   for (const auto& [kbytes, vbytes] : records) {
     KeyedPair p;
     p.key_bytes = kbytes;
-    p.key = WritableRegistry::Instance().Create(kt);
+    p.key = make_key();
     serialize::DeserializeFromString(kbytes, p.key.get());
-    p.value = WritableRegistry::Instance().Create(vt);
+    p.value = make_value();
     serialize::DeserializeFromString(vbytes, p.value.get());
     out.push_back(std::move(p));
   }

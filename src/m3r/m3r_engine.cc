@@ -109,6 +109,40 @@ bool ReduceOutputImmutable(const JobConf& conf) {
   return api::IsImmutableOutput(reducer.get());
 }
 
+/// One task's (or hash-combine lane's) counters. Everything the task
+/// reports lands in a private Counters, so no record takes the job-wide
+/// lock; the tally folds into the job's counters exactly once — by Merge()
+/// just before the task reports progress, or by the destructor on any early
+/// return.
+class TaskCounters {
+ public:
+  explicit TaskCounters(api::Counters* job) : job_(job) {}
+  TaskCounters(const TaskCounters&) = delete;
+  TaskCounters& operator=(const TaskCounters&) = delete;
+  ~TaskCounters() { Merge(); }
+
+  api::Reporter& reporter() { return reporter_; }
+
+  void Merge() {
+    if (job_ == nullptr) return;
+    job_->MergeFrom(local_);
+    job_ = nullptr;
+  }
+
+ private:
+  api::Counters* job_;
+  api::Counters local_;
+  api::CountersReporter reporter_{&local_};
+};
+
+/// Reports an engine-side per-record tally once, at task or flush end. A
+/// zero tally is skipped so a counter no record touched stays absent, as
+/// it did when every record reported on its own.
+void ReportTally(api::Reporter& reporter, const char* group,
+                 const char* name, int64_t tally) {
+  if (tally != 0) reporter.IncrCounter(group, name, tally);
+}
+
 /// New-API MapContext over a cached pair sequence: keys/values are served
 /// as aliases of the cached objects — the zero-copy path.
 class SeqMapContext : public api::mapreduce::MapContext {
@@ -117,14 +151,19 @@ class SeqMapContext : public api::mapreduce::MapContext {
                 api::OutputCollector& collector, api::Reporter& reporter)
       : conf_(conf), pairs_(pairs), collector_(collector),
         reporter_(reporter) {}
+  SeqMapContext(const SeqMapContext&) = delete;
+  SeqMapContext& operator=(const SeqMapContext&) = delete;
+  ~SeqMapContext() override {
+    ReportTally(reporter_, api::counters::kTaskGroup,
+                api::counters::kMapInputRecords,
+                static_cast<int64_t>(index_));
+  }
 
   bool NextKeyValue() override {
     if (index_ >= pairs_.size()) return false;
     key_ = pairs_[index_].first;
     value_ = pairs_[index_].second;
     ++index_;
-    reporter_.IncrCounter(api::counters::kTaskGroup,
-                          api::counters::kMapInputRecords, 1);
     return true;
   }
   const WritablePtr& CurrentKey() const override { return key_; }
@@ -178,11 +217,10 @@ Status FeedMapper(const JobConf& conf, const KVSeq& pairs,
   auto mapper = api::ObjectRegistry<api::mapred::Mapper>::Instance().Create(
       conf.Get(api::conf::kMapredMapper));
   mapper->Configure(conf);
-  for (const auto& [k, v] : pairs) {
-    reporter.IncrCounter(api::counters::kTaskGroup,
-                         api::counters::kMapInputRecords, 1);
-    mapper->Map(k, v, collector, reporter);
-  }
+  for (const auto& [k, v] : pairs) mapper->Map(k, v, collector, reporter);
+  ReportTally(reporter, api::counters::kTaskGroup,
+              api::counters::kMapInputRecords,
+              static_cast<int64_t>(pairs.size()));
   mapper->Close();
   return Status::OK();
 }
@@ -205,6 +243,18 @@ class CombiningShuffleCollector : public api::OutputCollector {
         mapper_immutable_(mapper_immutable),
         combiner_immutable_(combiner_immutable), reporter_(reporter),
         buffered_(static_cast<size_t>(num_partitions)) {}
+  CombiningShuffleCollector(const CombiningShuffleCollector&) = delete;
+  CombiningShuffleCollector& operator=(const CombiningShuffleCollector&) =
+      delete;
+  ~CombiningShuffleCollector() override {
+    ReportTally(*reporter_, api::counters::kTaskGroup,
+                api::counters::kMapOutputRecords, output_records_);
+    ReportTally(*reporter_, api::counters::kM3rGroup,
+                api::counters::kClonedPairs, cloned_pairs_);
+    ReportTally(*reporter_, api::counters::kTaskGroup,
+                api::counters::kCombineOutputRecords,
+                combine_output_records_);
+  }
 
   void Collect(const WritablePtr& key, const WritablePtr& value) override {
     int partition =
@@ -213,14 +263,10 @@ class CombiningShuffleCollector : public api::OutputCollector {
     api::KeyedPair kp;
     kp.key = mapper_immutable_ ? key : key->Clone();
     kp.value = mapper_immutable_ ? value : value->Clone();
-    if (!mapper_immutable_) {
-      reporter_->IncrCounter(api::counters::kM3rGroup,
-                             api::counters::kClonedPairs, 1);
-    }
+    if (!mapper_immutable_) ++cloned_pairs_;
     kp.key_bytes = serialize::SerializeToString(*kp.key);
     buffered_[static_cast<size_t>(partition)].push_back(std::move(kp));
-    reporter_->IncrCounter(api::counters::kTaskGroup,
-                           api::counters::kMapOutputRecords, 1);
+    ++output_records_;
   }
 
   /// Runs the combiner over every buffered partition and emits the results.
@@ -233,9 +279,7 @@ class CombiningShuffleCollector : public api::OutputCollector {
         outer_->shuffle_->Emit(outer_->src_place_, partition_, key, value,
                                outer_->combiner_immutable_,
                                outer_->worker_lane_);
-        outer_->reporter_->IncrCounter(api::counters::kTaskGroup,
-                                       api::counters::kCombineOutputRecords,
-                                       1);
+        ++outer_->combine_output_records_;
       }
 
      private:
@@ -271,6 +315,10 @@ class CombiningShuffleCollector : public api::OutputCollector {
   bool combiner_immutable_;
   api::Reporter* reporter_;
   std::vector<std::vector<api::KeyedPair>> buffered_;
+  // Per-record system counters, reported once by the destructor.
+  int64_t output_records_ = 0;
+  int64_t cloned_pairs_ = 0;
+  int64_t combine_output_records_ = 0;
 };
 
 /// Routes mapper output into the shuffle.
@@ -282,14 +330,19 @@ class ShuffleCollector : public api::OutputCollector {
       : shuffle_(shuffle), partitioner_(partitioner), src_place_(src_place),
         worker_lane_(worker_lane), num_partitions_(num_partitions),
         immutable_(immutable), reporter_(reporter) {}
+  ShuffleCollector(const ShuffleCollector&) = delete;
+  ShuffleCollector& operator=(const ShuffleCollector&) = delete;
+  ~ShuffleCollector() override {
+    ReportTally(*reporter_, api::counters::kTaskGroup,
+                api::counters::kMapOutputRecords, output_records_);
+  }
 
   void Collect(const WritablePtr& key, const WritablePtr& value) override {
     int partition =
         partitioner_->GetPartition(*key, *value, num_partitions_);
     shuffle_->Emit(src_place_, partition, key, value, immutable_,
                    worker_lane_);
-    reporter_->IncrCounter(api::counters::kTaskGroup,
-                           api::counters::kMapOutputRecords, 1);
+    ++output_records_;
   }
 
  private:
@@ -300,6 +353,7 @@ class ShuffleCollector : public api::OutputCollector {
   int num_partitions_;
   bool immutable_;
   api::Reporter* reporter_;
+  int64_t output_records_ = 0;  // reported once by the destructor
 };
 
 /// Collects final output: into a cache sequence (alias or clone per the
@@ -311,6 +365,12 @@ class OutputSeqCollector : public api::OutputCollector {
                      api::Reporter* reporter, const char* records_counter)
       : immutable_(immutable), writer_(writer), reporter_(reporter),
         records_counter_(records_counter) {}
+  OutputSeqCollector(const OutputSeqCollector&) = delete;
+  OutputSeqCollector& operator=(const OutputSeqCollector&) = delete;
+  ~OutputSeqCollector() override {
+    ReportTally(*reporter_, api::counters::kTaskGroup, records_counter_,
+                records_);
+  }
 
   void Collect(const WritablePtr& key, const WritablePtr& value) override {
     WritablePtr k = immutable_ ? key : key->Clone();
@@ -318,7 +378,7 @@ class OutputSeqCollector : public api::OutputCollector {
     bytes_ += k->SerializedSize() + v->SerializedSize();
     if (writer_ != nullptr) M3R_CHECK_OK(writer_->Write(*k, *v));
     seq_.emplace_back(std::move(k), std::move(v));
-    reporter_->IncrCounter(api::counters::kTaskGroup, records_counter_, 1);
+    ++records_;
   }
 
   KVSeq TakeSeq() { return std::move(seq_); }
@@ -331,6 +391,7 @@ class OutputSeqCollector : public api::OutputCollector {
   const char* records_counter_;
   KVSeq seq_;
   uint64_t bytes_ = 0;
+  int64_t records_ = 0;  // reported once by the destructor
 };
 
 /// M3R-side MultipleOutputs sink: named outputs are cached (cache-aware
@@ -1732,7 +1793,8 @@ api::JobResult M3REngine::SubmitImpl(const api::JobConf& submitted_conf) {
       }
 
       // 2. Run the mapper.
-      api::CountersReporter reporter(&result.counters);
+      TaskCounters counters(&result.counters);
+      api::Reporter& reporter = counters.reporter();
       if (lane_hasher != nullptr) {
         // Map-side hash aggregation: the lane's persistent table folds
         // values at emit time across every task this strand runs, and only
@@ -1805,6 +1867,7 @@ api::JobResult M3REngine::SubmitImpl(const api::JobConf& submitted_conf) {
       membership.Heartbeat(place);
       size_t done = ++map_tasks_done;
       sync_memgov();
+      counters.Merge();  // the progress snapshot includes this task
       ReportProgress(conf,
                      0.05 + 0.55 * static_cast<double>(done) /
                                 static_cast<double>(std::max<size_t>(
@@ -1841,19 +1904,20 @@ api::JobResult M3REngine::SubmitImpl(const api::JobConf& submitted_conf) {
         // round gets fresh tables, so a recovered job may carry more than
         // one partial aggregate per key — the combiner contract (run 0+
         // times over any subset) already promises that is legal.
+        // The lane's counters outlive its sink and table (declared first,
+        // destroyed last), so their final tallies land before the merge.
+        std::optional<TaskCounters> lane_counters;
         std::shared_ptr<api::Partitioner> lane_partitioner;
         std::unique_ptr<ShuffleCollector> lane_sink;
-        std::unique_ptr<api::CountersReporter> lane_reporter;
         std::unique_ptr<api::HashCombineCollector> lane_hasher;
         if (lane_hash_combine) {
+          lane_counters.emplace(&result.counters);
           lane_partitioner = api::MakePartitioner(conf);
-          lane_reporter =
-              std::make_unique<api::CountersReporter>(&result.counters);
           lane_sink = std::make_unique<ShuffleCollector>(
               &shuffle, lane_partitioner.get(), place, static_cast<int>(s),
-              num_reduce, /*immutable=*/true, lane_reporter.get());
+              num_reduce, /*immutable=*/true, &lane_counters->reporter());
           lane_hasher = std::make_unique<api::HashCombineCollector>(
-              conf, lane_sink.get(), lane_reporter.get(),
+              conf, lane_sink.get(), &lane_counters->reporter(),
               &hash_combine_bytes_);
         }
         for (size_t j = s; j < mine.size();
@@ -2297,7 +2361,8 @@ api::JobResult M3REngine::SubmitImpl(const api::JobConf& submitted_conf) {
           if (!rr.status.ok()) return;
         }
         CpuStopwatch sw;
-        api::CountersReporter reporter(&result.counters);
+        TaskCounters counters(&result.counters);
+        api::Reporter& reporter = counters.reporter();
 
         // Sort the local pairs (in-memory, same comparator semantics as
         // Hadoop); the remote ones merge in below.
@@ -2351,14 +2416,24 @@ api::JobResult M3REngine::SubmitImpl(const api::JobConf& submitted_conf) {
             remote_records += run.records;
             ins.emplace_back(std::string_view(run.bytes));
           }
-          std::unordered_map<uint64_t, const SortedRun*> run_of;
-          run_of.reserve(runs.size());
+          // Each run's key/value factories, resolved once per run rather
+          // than by type name per record.
+          struct RunFactories {
+            serialize::WritableRegistry::Factory make_key;
+            serialize::WritableRegistry::Factory make_value;
+          };
+          const serialize::WritableRegistry& registry =
+              serialize::WritableRegistry::Instance();
+          std::unordered_map<uint64_t, RunFactories> factories_of;
+          factories_of.reserve(runs.size());
           for (size_t i = 0; i < runs.size(); ++i) {
             serialize::DataInput* in = &ins[i];
             const uint64_t ord = RunOrdinal(runs[i].src_place,
                                             runs[i].worker_lane,
                                             runs[i].seq);
-            run_of.emplace(ord, &runs[i]);
+            factories_of.emplace(
+                ord, RunFactories{registry.Resolve(runs[i].key_type),
+                                  registry.Resolve(runs[i].value_type)});
             merger.AddRun(
                 [in](std::string_view* k, std::string_view* v) {
                   if (in->AtEnd()) return false;
@@ -2378,18 +2453,13 @@ api::JobResult M3REngine::SubmitImpl(const api::JobConf& submitted_conf) {
               merged.push_back(std::move(pairs[consumed++]));
               continue;
             }
-            const SortedRun* run = run_of.find(ord)->second;
+            const RunFactories& run = factories_of.find(ord)->second;
             api::KeyedPair kp;
             kp.key_bytes.assign(mk.data(), mk.size());
-            kp.key =
-                serialize::WritableRegistry::Instance().Create(
-                    run->key_type);
+            kp.key = run.make_key();
             serialize::DeserializeFromString(kp.key_bytes, kp.key.get());
-            kp.value =
-                serialize::WritableRegistry::Instance().Create(
-                    run->value_type);
-            serialize::DeserializeFromString(
-                std::string(mv.data(), mv.size()), kp.value.get());
+            kp.value = run.make_value();
+            serialize::DeserializeFromString(mv, kp.value.get());
             merged.push_back(std::move(kp));
           }
           pairs = std::move(merged);

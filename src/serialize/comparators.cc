@@ -9,10 +9,13 @@
 
 namespace m3r::serialize {
 
+DeserializingComparator::DeserializingComparator(const std::string& key_type)
+    : make_key_(WritableRegistry::Instance().Resolve(key_type)) {}
+
 int DeserializingComparator::Compare(std::string_view a,
                                      std::string_view b) const {
-  WritablePtr ka = WritableRegistry::Instance().Create(key_type_);
-  WritablePtr kb = WritableRegistry::Instance().Create(key_type_);
+  WritablePtr ka = make_key_();
+  WritablePtr kb = make_key_();
   DataInput ia(a);
   DataInput ib(b);
   ka->ReadFields(ia);

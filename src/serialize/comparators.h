@@ -42,13 +42,13 @@ class BytesComparator : public RawComparator {
 class DeserializingComparator : public RawComparator {
  public:
   static constexpr const char* kName = "DeserializingComparator";
-  explicit DeserializingComparator(std::string key_type)
-      : key_type_(std::move(key_type)) {}
+  /// Resolves the key type's factory here, once; aborts if it is unknown.
+  explicit DeserializingComparator(const std::string& key_type);
   int Compare(std::string_view a, std::string_view b) const override;
   const char* Name() const override { return kName; }
 
  private:
-  std::string key_type_;
+  std::function<WritablePtr()> make_key_;
 };
 
 /// Compares only the first (row) component of a serialized PairIntWritable

@@ -71,17 +71,16 @@ WritablePtr DedupInputStream::ReadObject() {
     M3R_CHECK(index < objects_.size()) << "bad back-reference";
     return objects_[index];
   }
-  std::string type;
+  uint64_t tid = factories_.size();
   if (tag == kNewType) {
-    type = in_.ReadString();
-    types_.push_back(type);
+    factories_.push_back(
+        WritableRegistry::Instance().Resolve(in_.ReadString()));
   } else {
     M3R_CHECK(tag == kNew) << "bad stream tag " << int(tag);
-    uint64_t tid = in_.ReadVarU64();
-    M3R_CHECK(tid < types_.size()) << "bad type id";
-    type = types_[tid];
+    tid = in_.ReadVarU64();
+    M3R_CHECK(tid < factories_.size()) << "bad type id";
   }
-  WritablePtr obj = WritableRegistry::Instance().Create(type);
+  WritablePtr obj = factories_[tid]();
   obj->ReadFields(in_);
   objects_.push_back(obj);
   return obj;

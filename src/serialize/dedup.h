@@ -101,7 +101,9 @@ class DedupInputStream {
   std::string buffer_;
   DataInput in_;
   std::vector<WritablePtr> objects_;
-  std::vector<std::string> types_;
+  /// Factory per stream type id, resolved when the type name first
+  /// appears, so later objects of the type skip the registry.
+  std::vector<WritableRegistry::Factory> factories_;
 };
 
 }  // namespace m3r::serialize

@@ -27,12 +27,13 @@ void WritableRegistry::Register(const std::string& name, Factory factory) {
   impl_->factories.emplace(name, std::move(factory));
 }
 
-WritablePtr WritableRegistry::Create(const std::string& name) const {
+WritableRegistry::Factory WritableRegistry::Resolve(
+    const std::string& name) const {
   std::lock_guard<std::mutex> lock(impl_->mu);
   auto it = impl_->factories.find(name);
   M3R_CHECK(it != impl_->factories.end())
       << "unregistered Writable type: " << name;
-  return it->second();
+  return it->second;
 }
 
 bool WritableRegistry::Contains(const std::string& name) const {

@@ -26,9 +26,15 @@ class WritableRegistry {
   /// registrations across translation units harmless.
   void Register(const std::string& name, Factory factory);
 
-  /// Creates a fresh instance; aborts if `name` is unknown (an unknown key
-  /// or value class in a job configuration is a programming error).
-  WritablePtr Create(const std::string& name) const;
+  /// Looks up the factory for `name` once, so per-record decode paths
+  /// build objects without touching the registry lock again. Aborts if
+  /// `name` is unknown (an unknown key or value class in a job
+  /// configuration is a programming error). Registrations are never
+  /// removed, so the returned factory stays valid for the process lifetime.
+  Factory Resolve(const std::string& name) const;
+
+  /// Creates a fresh instance: `Resolve(name)()`.
+  WritablePtr Create(const std::string& name) const { return Resolve(name)(); }
 
   bool Contains(const std::string& name) const;
 

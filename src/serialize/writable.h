@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "serialize/io.h"
 
@@ -72,7 +73,7 @@ class WritableBase : public Writable {
 std::string SerializeToString(const Writable& w);
 
 /// Deserializes fields into `w` from `bytes` (must consume exactly all).
-void DeserializeFromString(const std::string& bytes, Writable* w);
+void DeserializeFromString(std::string_view bytes, Writable* w);
 
 }  // namespace m3r::serialize
 

@@ -19,6 +19,7 @@
 #include "workloads/micro_gen.h"
 #include "workloads/shuffle_micro.h"
 #include "workloads/spmv.h"
+#include "workloads/stopword_filter.h"
 #include "workloads/text_gen.h"
 #include "workloads/wordcount.h"
 
@@ -732,6 +733,148 @@ TEST(HashCombineEquivalence, RepairModeStillByteIdentical) {
   EXPECT_GE(m_rep.detected, 1);
   EXPECT_EQ(m_rep.repaired, m_rep.detected);
 }
+
+// --- Counter parity: M3R tasks tally into their own counters and merge them
+// once at task end; the job totals must still match Hadoop's exactly, for
+// every worker count, mapper flavour, API and combine path. A tally that an
+// early return or a lane teardown dropped shows up here as a short count ---
+
+/// Task-group counters both engines keep with the same meaning whatever
+/// the combine scope.
+constexpr const char* kParityTaskCounters[] = {
+    api::counters::kMapInputRecords,
+    api::counters::kMapOutputRecords,
+    api::counters::kReduceInputGroups,
+    api::counters::kReduceOutputRecords,
+};
+/// Task-group counters that depend on how many records each combiner run
+/// sees.
+constexpr const char* kCombineScopedCounters[] = {
+    api::counters::kCombineInputRecords,
+    api::counters::kCombineOutputRecords,
+    api::counters::kReduceInputRecords,
+};
+
+struct ParityJob {
+  const char* name;
+  api::JobConf conf;
+  /// Whether M3R clones every mapper output pair (a reusing mapper without
+  /// hash combine), so M3R/CLONED_PAIRS must equal MAP_OUTPUT_RECORDS;
+  /// otherwise nothing is cloned.
+  bool clones = false;
+  /// False under hash combine: M3R's lane-persistent table folds across a
+  /// place's splits while Hadoop's folds per task, so the combine-scoped
+  /// counters legitimately differ and only their conservation is checked.
+  bool same_combine_scope = true;
+};
+
+std::vector<ParityJob> ParityJobs() {
+  using workloads::MakeMixedApiWordCountJob;
+  using workloads::MakeWordCountJob;
+  std::vector<ParityJob> jobs;
+  jobs.push_back({"reuse-mapper", MakeWordCountJob("/in", "/out", 3, false),
+                  true});
+  jobs.push_back(
+      {"immutable-mapper", MakeWordCountJob("/in", "/out", 3, true), false});
+  api::JobConf no_combiner = MakeWordCountJob("/in", "/out", 3, false);
+  no_combiner.Unset(api::conf::kMapredCombiner);
+  jobs.push_back({"no-combiner", no_combiner, true});
+  jobs.push_back({"new-api", MakeMixedApiWordCountJob("/in", "/out", 3, true,
+                                                      true, true),
+                  false});
+  jobs.push_back({"mixed-api", MakeMixedApiWordCountJob("/in", "/out", 3,
+                                                        true, false, true),
+                  false});
+  api::JobConf hashed = MakeWordCountJob("/in", "/out", 3, true);
+  hashed.Set(api::conf::kMapHashCombine, "true");
+  jobs.push_back({"hash-combine", hashed, false, false});
+  api::JobConf map_only = MakeWordCountJob("/in", "/out", 0, true);
+  map_only.Unset(api::conf::kMapredCombiner);
+  map_only.Unset(api::conf::kMapredReducer);
+  jobs.push_back({"map-only", map_only, false});
+  jobs.push_back({"stopwords", workloads::MakeStopwordCountJob(
+                                   "/in", "/out", "/aux/stopwords", 3),
+                  false});
+  return jobs;
+}
+
+struct ParityRun {
+  api::Counters counters;
+  std::vector<std::string> lines;
+};
+
+/// Runs `job` on fresh identical input; `workers` 0 means the Hadoop
+/// engine, otherwise M3R with that many intra-place workers.
+ParityRun RunForParity(const api::JobConf& job, int workers) {
+  auto fs = dfs::MakeSimDfs(4, 16 * 1024);
+  M3R_CHECK_OK(workloads::GenerateText(*fs, "/in", 200 * 1024, 4, 99));
+  // "the" and "of" are the generator's two most frequent head words.
+  M3R_CHECK_OK(fs->WriteFile("/aux/stopwords", "the\nof\n"));
+  std::unique_ptr<api::Engine> engine;
+  api::JobConf conf = job;
+  if (workers > 0) {
+    conf.SetInt(api::conf::kPlaceWorkers, workers);
+    engine = std::make_unique<engine::M3REngine>(
+        fs, engine::M3REngineOptions{TestCluster()});
+  } else {
+    engine = std::make_unique<hadoop::HadoopEngine>(
+        fs, hadoop::HadoopEngineOptions{TestCluster(), 0});
+  }
+  api::JobResult result = engine->Submit(conf);
+  M3R_CHECK(result.ok()) << result.status.ToString();
+  return {result.counters, ReadOutputLines(*fs, "/out")};
+}
+
+void ExpectCounterParity(int workers) {
+  for (const ParityJob& job : ParityJobs()) {
+    SCOPED_TRACE(std::string(job.name) +
+                 " workers=" + std::to_string(workers));
+    const ParityRun hadoop = RunForParity(job.conf, 0);
+    const ParityRun m3r = RunForParity(job.conf, workers);
+    ASSERT_FALSE(hadoop.lines.empty());
+    EXPECT_EQ(hadoop.lines, m3r.lines);
+    for (const char* name : kParityTaskCounters) {
+      EXPECT_EQ(hadoop.counters.Get(api::counters::kTaskGroup, name),
+                m3r.counters.Get(api::counters::kTaskGroup, name))
+          << name;
+    }
+    if (job.same_combine_scope) {
+      for (const char* name : kCombineScopedCounters) {
+        EXPECT_EQ(hadoop.counters.Get(api::counters::kTaskGroup, name),
+                  m3r.counters.Get(api::counters::kTaskGroup, name))
+            << name;
+      }
+    }
+    if (job.conf.NumReduceTasks() > 0) {
+      // Every combiner run consumes its inputs and emits its outputs, so
+      // what reaches the reducers is the map output net of all combining.
+      for (const ParityRun* run : {&hadoop, &m3r}) {
+        auto task = [run](const char* name) {
+          return run->counters.Get(api::counters::kTaskGroup, name);
+        };
+        EXPECT_EQ(task(api::counters::kReduceInputRecords),
+                  task(api::counters::kMapOutputRecords) -
+                      task(api::counters::kCombineInputRecords) +
+                      task(api::counters::kCombineOutputRecords))
+            << (run == &m3r ? "m3r" : "hadoop");
+      }
+    }
+    const api::Counters& mc = m3r.counters;
+    EXPECT_GT(mc.Get(api::counters::kTaskGroup,
+                     api::counters::kMapInputRecords),
+              0);
+    EXPECT_EQ(hadoop.counters.Get("StopwordFilter", "DROPPED"),
+              mc.Get("StopwordFilter", "DROPPED"));
+    EXPECT_EQ(mc.Get(api::counters::kM3rGroup, api::counters::kClonedPairs),
+              job.clones ? mc.Get(api::counters::kTaskGroup,
+                                  api::counters::kMapOutputRecords)
+                         : 0);
+  }
+}
+
+TEST(CounterParity, MatchesHadoopWithOneWorker) { ExpectCounterParity(1); }
+
+TEST(CounterParity, MatchesHadoopWithFourWorkers) { ExpectCounterParity(4); }
 
 }  // namespace
 }  // namespace m3r

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "serialize/basic_writables.h"
 #include "serialize/comparators.h"
 #include "serialize/dedup.h"
@@ -233,6 +237,48 @@ TEST(RegistryPropertyTest, AllRegisteredTypesRoundTripDefaults) {
     // Clone agrees with the serialize round-trip.
     EXPECT_EQ(SerializeToString(*original->Clone()), bytes) << name;
   }
+}
+
+/// Decode paths resolve a factory once and call it per record from many
+/// task threads, while other threads still look types up by name or
+/// re-register them (a no-op: the first factory wins). Run under
+/// ThreadSanitizer by `make check-sanitize`.
+TEST(RegistryConcurrencyTest, ResolveAndCreateFromEightThreads) {
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 200;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &mismatches] {
+      WritableRegistry& reg = WritableRegistry::Instance();
+      const WritableRegistry::Factory make_text = reg.Resolve("Text");
+      const WritableRegistry::Factory make_int = reg.Resolve("IntWritable");
+      for (int i = 0; i < kRounds; ++i) {
+        reg.Register("IntWritable", [] { return std::make_shared<Text>(); });
+        auto text = make_text();
+        auto by_name = reg.Create("IntWritable");
+        auto resolved = make_int();
+        DeserializeFromString(SerializeToString(IntWritable(t * i)),
+                              resolved.get());
+        if (std::string(text->TypeName()) != "Text" ||
+            std::string(by_name->TypeName()) != "IntWritable" ||
+            static_cast<IntWritable&>(*resolved).Get() != t * i) {
+          ++mismatches[static_cast<size_t>(t)];
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[static_cast<size_t>(t)], 0) << "thread " << t;
+  }
+}
+
+TEST(RegistryConcurrencyTest, ResolveAbortsOnUnknownTypeLikeCreate) {
+  EXPECT_DEATH(WritableRegistry::Instance().Resolve("NoSuchWritable"),
+               "unregistered Writable type: NoSuchWritable");
+  EXPECT_DEATH(WritableRegistry::Instance().Create("NoSuchWritable"),
+               "unregistered Writable type: NoSuchWritable");
 }
 
 }  // namespace
