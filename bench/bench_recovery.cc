@@ -1,16 +1,16 @@
 // Mid-job place-failure recovery bench (DESIGN.md §14): what does a place
 // crash halfway through the map phase cost under bounded task replay
-// (m3r.place.recovery=replay, the default) versus the pre-recovery
-// contract of failing the whole job and resubmitting from scratch
-// (m3r.place.recovery=off)? Three arms, each on a fresh engine + DFS so
-// cache state and the scripted crash arm identically:
+// (the default crash budget) versus the pre-recovery contract of failing
+// the whole job and resubmitting from scratch
+// (m3r.place.recovery.max.crashes=0)? Three arms, each on a fresh engine +
+// DFS so cache state and the scripted crash arm identically:
 //
 //   baseline   crash-free WordCount — the floor.
 //   recovered  place 1 dies before its 5th of 8 map tasks; replay heals
 //              the lost inputs, re-homes the dead partitions, and reruns
 //              only the lost tasks. Makespan = baseline + recovery span.
-//   retried    same crash with recovery off — the job fails with a typed
-//              retriable error and a pristine resubmission reruns
+//   retried    same crash with a zero crash budget — the job fails with a
+//              typed retriable error and a pristine resubmission reruns
 //              everything. Makespan = failed partial attempt + full rerun.
 //
 // The bench hard-fails unless recovered sits strictly between baseline and
@@ -212,17 +212,17 @@ void RunRecoveryVsRetry(std::vector<Record>* out) {
       << "replay reran " << recovered_tasks << " of " << map_tasks
       << " tasks — expected only the dead place's lost work";
 
-  // Arm 3: same crash with recovery off — the failed partial attempt plus
-  // a pristine resubmission on the same engine (survivor caches stay warm,
+  // Arm 3: same crash with a zero crash budget — the failed partial attempt
+  // plus a pristine resubmission on the same engine (survivor caches stay warm,
   // which only flatters the retry arm).
   Arm ret = MakeArm();
   api::JobConf fj = workloads::MakeWordCountJob("/in", "/out", kReducers,
                                                 /*immutable_output=*/true);
   fj.Set(api::conf::kPlaceCrashAt, kCrashScript);
-  fj.Set(api::conf::kPlaceRecovery, "off");
+  fj.Set(api::conf::kPlaceRecoveryMaxCrashes, "0");
   api::JobResult fr;
   double retry_wall = WallSeconds([&] { fr = ret.engine->Submit(fj); });
-  M3R_CHECK(!fr.ok()) << "recovery=off arm was expected to fail";
+  M3R_CHECK(!fr.ok()) << "max.crashes=0 arm was expected to fail";
   M3R_CHECK(fr.status.IsRetriable()) << fr.status.ToString();
   api::JobConf pj = workloads::MakeWordCountJob("/in", "/out", kReducers,
                                                 /*immutable_output=*/true);
@@ -261,7 +261,7 @@ void RunRecoveryVsRetry(std::vector<Record>* out) {
 
   Record r;
   r.bench = "recovery";
-  r.config = "m3r wordcount 512KiB crash@50%map recovery=replay";
+  r.config = "m3r wordcount 512KiB crash@50%map replay, max.crashes=2";
   r.wall_seconds = rec_wall;
   r.sim_seconds = rr.sim_seconds;
   r.counters = {
@@ -277,7 +277,7 @@ void RunRecoveryVsRetry(std::vector<Record>* out) {
 
   Record t;
   t.bench = "recovery";
-  t.config = "m3r wordcount 512KiB crash@50%map recovery=off + resubmit";
+  t.config = "m3r wordcount 512KiB crash@50%map max.crashes=0 + resubmit";
   t.wall_seconds = retry_wall;
   t.sim_seconds = retry_sim;
   t.counters = {

@@ -70,10 +70,6 @@ inline constexpr char kMapHashCombine[] = "m3r.map.hash.combine";
 /// table downstream (a "spill") and starts over.
 inline constexpr char kMapHashCombineMemoryMb[] =
     "m3r.map.hash.combine.memory.mb";
-/// Pair count above which SortPairs fans out over the engine's executor
-/// (parallel sorted runs + pairwise merges).
-inline constexpr char kSortParallelThreshold[] =
-    "m3r.sort.parallel.threshold";
 /// Buffered bytes per shuffle lane before the lane segment is sealed as a
 /// sorted run and shipped to its reducer place (default 262144), so wire
 /// time and run sorting overlap map compute and the post-barrier shuffle
@@ -105,19 +101,15 @@ inline constexpr char kSpeculativeExecution[] =
 /// phase's mean task duration.
 inline constexpr char kSpeculativeSlowTaskThreshold[] =
     "mapred.speculative.slowtaskthreshold";
-/// M3R checkpoint policy: "off" (default), "tempout" (spill cache-only
-/// temporary outputs to the DFS in the background), or "all".
+/// M3R checkpoint policy: "off" (default) or "tempout" (spill each job's
+/// cache-only temporary output to the DFS in the background).
 inline constexpr char kCacheCheckpoint[] = "m3r.cache.checkpoint";
-/// M3R mid-job place-failure recovery (DESIGN.md §14): "replay" (default —
-/// quiesce the map phase, re-home the dead place's partitions onto
-/// survivors, replay only the lost map tasks, continue into reduce) or
-/// "off" (the paper's behavior: any place crash fails the whole job with a
-/// retriable Unavailable). Crashes past the recovery horizon — during the
-/// reduce phase, or beyond the crash budget — always fall back to the
-/// whole-job failure.
-inline constexpr char kPlaceRecovery[] = "m3r.place.recovery";
-/// Crash budget for m3r.place.recovery=replay: total dead places tolerated
-/// per job before recovery gives up and fails the job (default 2).
+/// M3R mid-job place-failure recovery budget (DESIGN.md §14): total dead
+/// places per job survived in-flight — quiesce the map phase, re-home the
+/// dead places' partitions onto survivors, replay only the lost map tasks,
+/// continue into reduce (default 2). One crash more, or any crash during
+/// the reduce phase, falls back to the whole-job retriable Unavailable. 0
+/// is the paper's behavior: any place crash fails the whole job.
 inline constexpr char kPlaceRecoveryMaxCrashes[] =
     "m3r.place.recovery.max.crashes";
 /// Scripted mid-map crash points, "P:N[,P:N...]": place P crashes when it
@@ -158,8 +150,6 @@ inline constexpr char kCachePolicy[] = "m3r.cache.policy";
 /// has room, and L1 misses promote from the tier before re-reading DFS.
 /// Only meaningful under a nonzero m3r.memory.budget.mb.
 inline constexpr char kCacheL2Share[] = "m3r.cache.l2.share";
-/// Virtual points per place on the L2 hash ring (default 16).
-inline constexpr char kCacheL2VNodes[] = "m3r.cache.l2.vnodes";
 /// ReStore-style cross-job output reuse: "off" (default) or "exact" — a
 /// submitted job whose lineage signature (inputs + conf digest + user
 /// class identity) matches a live cached output is served from the cache,

@@ -99,17 +99,27 @@ class ReaderMapContext : public mapreduce::MapContext {
   WritablePtr value_;
 };
 
-/// ReduceContext bridging a GroupSource to a new-API reducer.
+/// ReduceContext bridging a GroupSource to a new-API reducer or combiner;
+/// only a reducer's groups count toward REDUCE_INPUT_GROUPS.
 class GroupReduceContext : public mapreduce::ReduceContext {
  public:
   GroupReduceContext(const JobConf& conf, GroupSource& groups,
-                     OutputCollector& collector, Reporter& reporter)
+                     OutputCollector& collector, Reporter& reporter,
+                     bool count_groups)
       : conf_(conf),
         groups_(groups),
         collector_(collector),
-        reporter_(reporter) {}
+        reporter_(reporter),
+        count_groups_(count_groups) {}
 
-  bool NextKey() override { return groups_.NextGroup(); }
+  bool NextKey() override {
+    if (!groups_.NextGroup()) return false;
+    if (count_groups_) {
+      reporter_.IncrCounter(counters::kTaskGroup,
+                            counters::kReduceInputGroups, 1);
+    }
+    return true;
+  }
   const WritablePtr& CurrentKey() const override { return groups_.Key(); }
   ValuesIterator& Values() override { return groups_.Values(); }
   void Write(const WritablePtr& key, const WritablePtr& value) override {
@@ -126,6 +136,7 @@ class GroupReduceContext : public mapreduce::ReduceContext {
   GroupSource& groups_;
   OutputCollector& collector_;
   Reporter& reporter_;
+  bool count_groups_;
 };
 
 }  // namespace
@@ -181,7 +192,8 @@ Status RunReduceTask(const JobConf& conf, GroupSource& groups,
   if (conf.UsesNewApiReducer()) {
     auto reducer = ObjectRegistry<mapreduce::Reducer>::Instance().Create(
         conf.Get(conf::kMapreduceReducer));
-    GroupReduceContext ctx(conf, groups, collector, reporter);
+    GroupReduceContext ctx(conf, groups, collector, reporter,
+                           /*count_groups=*/true);
     reducer->Run(ctx);
     *output_immutable = IsImmutableOutput(reducer.get());
     return Status::OK();
@@ -207,7 +219,8 @@ Status RunCombine(const JobConf& conf, GroupSource& groups,
   if (conf.UsesNewApiCombiner()) {
     auto combiner = ObjectRegistry<mapreduce::Reducer>::Instance().Create(
         conf.Get(conf::kMapreduceCombiner));
-    GroupReduceContext ctx(conf, groups, collector, reporter);
+    GroupReduceContext ctx(conf, groups, collector, reporter,
+                           /*count_groups=*/false);
     combiner->Run(ctx);
     return Status::OK();
   }
@@ -279,9 +292,6 @@ void SortPairs(const JobConf& conf, std::vector<KeyedPair>* pairs,
   }
   kopts.executor = options.executor;
   kopts.max_workers = options.max_workers;
-  kopts.parallel_threshold = static_cast<size_t>(
-      conf.GetInt(conf::kSortParallelThreshold,
-                  static_cast<int64_t>(sortkit::kDefaultParallelThreshold)));
 
   sortkit::SortStats kstats;
   std::vector<uint32_t> perm =

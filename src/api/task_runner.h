@@ -65,7 +65,7 @@ struct KeyedPair {
 };
 
 /// Host-parallelism knobs for SortPairs. The executor-parallel path only
-/// engages above m3r.sort.parallel.threshold pairs.
+/// engages above sortkit::kDefaultParallelThreshold pairs.
 struct SortOptions {
   Executor* executor = nullptr;
   int max_workers = 1;

@@ -116,7 +116,7 @@ std::vector<std::pair<std::string, std::string>> ChaosSchedule::JobOverrides(
     // before starting its (N+1)-th map task). That exercises the quiesce /
     // re-home / bounded-replay machinery (DESIGN.md §14) at arbitrary
     // points inside the map phase, and occasionally a second crash or a
-    // pinned-off recovery so the whole-job fallback path soaks too.
+    // crash budget of 0 or 1 so the whole-job fallback path soaks too.
     if (Mix(job, 5) % 2 == 0) {
       const int first = static_cast<int>(Mix(job, 6) % 4);
       std::string script = std::to_string(first) + ":" +
@@ -129,10 +129,9 @@ std::vector<std::pair<std::string, std::string>> ChaosSchedule::JobOverrides(
       }
       out.emplace_back("m3r.place.crash.at", script);
       const uint64_t mode = Mix(job, 9) % 6;
-      if (mode == 0) {
-        out.emplace_back("m3r.place.recovery", "off");
-      } else if (mode == 1) {
-        out.emplace_back("m3r.place.recovery.max.crashes", "1");
+      if (mode <= 1) {
+        out.emplace_back("m3r.place.recovery.max.crashes",
+                         mode == 0 ? "0" : "1");
       }
     }
   }

@@ -41,26 +41,14 @@ using api::JobConf;
 using api::WritablePtr;
 using kvstore::KVSeq;
 
-/// Finds a PlacedSplit through any DelegatingSplit wrappers (paper §4.3).
-const api::PlacedSplit* FindPlacedSplit(const api::InputSplit& split) {
-  if (const auto* placed = dynamic_cast<const api::PlacedSplit*>(&split)) {
-    return placed;
-  }
+/// Finds a split of type T — a PlacedSplit (paper §4.3) or the underlying
+/// FileSplit — through any DelegatingSplit wrappers.
+template <typename T>
+const T* FindSplit(const api::InputSplit& split) {
+  if (const auto* found = dynamic_cast<const T*>(&split)) return found;
   if (const auto* delegating =
           dynamic_cast<const api::DelegatingSplit*>(&split)) {
-    return FindPlacedSplit(delegating->GetBaseSplit());
-  }
-  return nullptr;
-}
-
-/// Finds the underlying FileSplit through any DelegatingSplit wrappers.
-const api::FileSplit* FindFileSplit(const api::InputSplit& split) {
-  if (const auto* file = dynamic_cast<const api::FileSplit*>(&split)) {
-    return file;
-  }
-  if (const auto* delegating =
-          dynamic_cast<const api::DelegatingSplit*>(&split)) {
-    return FindFileSplit(delegating->GetBaseSplit());
+    return FindSplit<T>(delegating->GetBaseSplit());
   }
   return nullptr;
 }
@@ -85,28 +73,51 @@ bool MapOutputImmutable(const JobConf& conf) {
   return runner_immutable && api::IsImmutableOutput(mapper.get());
 }
 
-bool CombineOutputImmutable(const JobConf& conf) {
-  if (conf.UsesNewApiCombiner()) {
-    auto combiner = api::ObjectRegistry<api::mapreduce::Reducer>::Instance()
-                        .Create(conf.Get(api::conf::kMapreduceCombiner));
-    return api::IsImmutableOutput(combiner.get());
-  }
-  if (!conf.Contains(api::conf::kMapredCombiner)) return false;
-  auto combiner = api::ObjectRegistry<api::mapred::Reducer>::Instance()
-                      .Create(conf.Get(api::conf::kMapredCombiner));
-  return api::IsImmutableOutput(combiner.get());
-}
-
-bool ReduceOutputImmutable(const JobConf& conf) {
-  if (conf.UsesNewApiReducer()) {
+/// The same promise for a reducer-shaped class: the combiner or the reducer,
+/// configured under `new_key` (new API) or `old_key`.
+bool ReducerOutputImmutable(const JobConf& conf, bool new_api,
+                            const char* new_key, const char* old_key) {
+  if (new_api) {
     auto reducer = api::ObjectRegistry<api::mapreduce::Reducer>::Instance()
-                       .Create(conf.Get(api::conf::kMapreduceReducer));
+                       .Create(conf.Get(new_key));
     return api::IsImmutableOutput(reducer.get());
   }
-  if (!conf.Contains(api::conf::kMapredReducer)) return false;
+  if (!conf.Contains(old_key)) return false;
   auto reducer = api::ObjectRegistry<api::mapred::Reducer>::Instance().Create(
-      conf.Get(api::conf::kMapredReducer));
+      conf.Get(old_key));
   return api::IsImmutableOutput(reducer.get());
+}
+
+/// Reads a split through its (split-specialized) input format.
+Result<KVSeq> ReadSplit(const api::InputSplit& base_split,
+                        const JobConf& tconf, dfs::FileSystem& fs) {
+  M3R_ASSIGN_OR_RETURN(
+      auto reader,
+      api::MakeInputFormat(tconf)->GetRecordReader(base_split, tconf, fs));
+  KVSeq seq;
+  for (;;) {
+    WritablePtr k = reader->CreateKey();
+    WritablePtr v = reader->CreateValue();
+    if (!reader->Next(*k, *v)) break;
+    seq.emplace_back(std::move(k), std::move(v));
+  }
+  reader->Close();
+  return seq;
+}
+
+/// A task reads locally when it is a cache hit or its place holds one of
+/// the split's replicas.
+bool ReadsLocally(bool cache_hit, const std::vector<int>& locations,
+                  int place, int num_places) {
+  return cache_hit ||
+         std::any_of(locations.begin(), locations.end(),
+                     [&](int n) { return n % num_places == place; });
+}
+
+/// Map-phase progress: 5% at start, 60% once every map task is done.
+double MapProgress(size_t done, size_t total) {
+  return 0.05 + 0.55 * static_cast<double>(done) /
+                    static_cast<double>(std::max<size_t>(total, 1));
 }
 
 /// One task's (or hash-combine lane's) counters. Everything the task
@@ -469,10 +480,184 @@ class M3RNamedOutputSink : public api::NamedOutputSink {
   std::map<std::string, Entry> entries_;
 };
 
-api::JobResult Fail(Status status) {
-  api::JobResult r;
-  r.status = std::move(status);
-  return r;
+/// Virtual points per place on the L2 hash ring (DESIGN.md §16).
+constexpr int kL2VNodes = 16;
+
+/// Serializes a cached block into an L2 / checkpoint payload: the pairs'
+/// channel wire bytes, their CRC32C, and the block's placement.
+l2cache::BlockPayload EncodeBlock(const std::string& block_name, int place,
+                                  uint64_t bytes, bool whole_file,
+                                  const KVSeq& pairs,
+                                  serialize::DedupMode mode) {
+  x10rt::Channel ch(mode);
+  for (const auto& [k, v] : pairs) {
+    ch.Send(k);
+    ch.Send(v);
+  }
+  l2cache::BlockPayload p;
+  p.block_name = block_name;
+  p.place = place;
+  p.bytes = bytes;
+  p.whole_file = whole_file;
+  p.wire = ch.Finish().bytes;
+  p.crc = crc32c::Crc32c(p.wire);
+  return p;
+}
+
+KVSeq DecodePairs(const std::string& wire) {
+  std::vector<serialize::WritablePtr> objs = x10rt::Channel::Decode(wire);
+  KVSeq seq;
+  seq.reserve(objs.size() / 2);
+  for (size_t i = 0; i + 1 < objs.size(); i += 2) {
+    seq.emplace_back(objs[i], objs[i + 1]);
+  }
+  return seq;
+}
+
+/// A checkpoint spill file. Header: home place, byte estimate, payload
+/// CRC32C, whole-file flag. The stamp is unconditional (like the DFS's
+/// block checksums) so a restore under any integrity mode can verify it.
+std::string CheckpointFileContent(const l2cache::BlockPayload& p) {
+  return std::to_string(p.place) + " " + std::to_string(p.bytes) + " " +
+         std::to_string(p.crc) + " " + (p.whole_file ? "1" : "0") + "\n" +
+         p.wire;
+}
+
+/// Where the checkpoint spills of cached directory `dir` live.
+std::string CheckpointDirOf(const std::string& dir) {
+  return std::string(M3REngine::kCheckpointRoot) + (dir == "/" ? "" : dir);
+}
+
+/// Parses scripted crash points "P:N[,P:N...]" (place P dies when it is
+/// about to start its (N+1)-th map task); nullopt on a malformed entry.
+std::optional<std::map<int, int>> ParseCrashScript(const std::string& script) {
+  std::map<int, int> out;
+  size_t pos = 0;
+  while (pos < script.size()) {
+    size_t comma = script.find(',', pos);
+    const std::string item = script.substr(
+        pos, comma == std::string::npos ? std::string::npos : comma - pos);
+    pos = comma == std::string::npos ? script.size() : comma + 1;
+    if (item.empty()) continue;
+    char* after_place = nullptr;
+    long p = std::strtol(item.c_str(), &after_place, 10);
+    char* after_ordinal = nullptr;
+    long n = after_place != nullptr && *after_place == ':'
+                 ? std::strtol(after_place + 1, &after_ordinal, 10)
+                 : -1;
+    if (after_place == item.c_str() || *after_place != ':' ||
+        after_ordinal == after_place + 1 ||
+        (after_ordinal != nullptr && *after_ordinal != '\0') || p < 0 ||
+        n < 0) {
+      return std::nullopt;
+    }
+    out[static_cast<int>(p)] = static_cast<int>(n);
+  }
+  return out;
+}
+
+/// One cache-manager or L2 counter a job reports as a delta against its
+/// submission-time baseline: the M3R counter it keeps live during the job
+/// (nullptr: none) and the metric it becomes at job end.
+template <typename Counters>
+struct DeltaRow {
+  const char* counter;
+  const char* metric;
+  uint64_t Counters::*field;
+};
+
+using CacheCounters = memgov::CacheManager::Counters;
+constexpr DeltaRow<CacheCounters> kCacheDeltas[] = {
+    {api::counters::kCacheEvictions, "cache_evictions",
+     &CacheCounters::evictions},
+    {api::counters::kCacheEvictedBytes, "cache_evicted_bytes",
+     &CacheCounters::evicted_bytes},
+    {nullptr, "cache_spilled_evictions", &CacheCounters::spilled_evictions},
+    {api::counters::kCacheRejectedFills, "cache_rejected_fills",
+     &CacheCounters::rejected_fills},
+    {nullptr, "cache_forced_fills", &CacheCounters::forced_fills},
+    {api::counters::kCacheAbortedEvictions, "cache_aborted_evictions",
+     &CacheCounters::aborted_evictions},
+};
+constexpr DeltaRow<l2cache::L2Counters> kL2Deltas[] = {
+    {api::counters::kL2Hits, "l2_hits", &l2cache::L2Counters::hits},
+    {api::counters::kL2Misses, "l2_misses", &l2cache::L2Counters::misses},
+    {api::counters::kL2Demotions, "l2_demotions",
+     &l2cache::L2Counters::demotions},
+    {api::counters::kL2RemoteBytes, "l2_remote_bytes",
+     &l2cache::L2Counters::remote_bytes},
+    {api::counters::kL2RingHeals, "l2_ring_heals",
+     &l2cache::L2Counters::ring_heals},
+    {nullptr, "l2_overflow_fills", &l2cache::L2Counters::overflow_fills},
+};
+
+/// K-way merges a reduce partition's shuffled sorted runs into its sorted
+/// local `pairs`. Equal keys drain local-first, then in (source place,
+/// lane, flush seq) order. Each run's key/value factories are resolved once
+/// per run rather than by type name per record.
+void MergeSortedRuns(const sortkit::RawCompareFn* cmp,
+                     const std::vector<SortedRun>& runs,
+                     std::vector<api::KeyedPair>* pairs) {
+  if (runs.empty()) return;
+  sortkit::RunMerger merger(cmp);
+  size_t fed = 0;
+  merger.AddRun(
+      [pairs, &fed](std::string_view* k, std::string_view* v) {
+        if (fed >= pairs->size()) return false;
+        *k = (*pairs)[fed].key_bytes;
+        *v = std::string_view();
+        ++fed;
+        return true;
+      },
+      /*ordinal=*/0);
+  struct RunFactories {
+    serialize::WritableRegistry::Factory make_key;
+    serialize::WritableRegistry::Factory make_value;
+  };
+  const serialize::WritableRegistry& registry =
+      serialize::WritableRegistry::Instance();
+  std::unordered_map<uint64_t, RunFactories> factories_of;
+  factories_of.reserve(runs.size());
+  // Reserved up front: the merger keeps a pointer to each input.
+  std::vector<serialize::DataInput> ins;
+  ins.reserve(runs.size());
+  uint64_t remote_records = 0;
+  for (const SortedRun& run : runs) {
+    remote_records += run.records;
+    serialize::DataInput* in =
+        &ins.emplace_back(std::string_view(run.bytes));
+    const uint64_t ord = RunOrdinal(run.src_place, run.worker_lane, run.seq);
+    factories_of.emplace(ord, RunFactories{registry.Resolve(run.key_type),
+                                           registry.Resolve(run.value_type)});
+    merger.AddRun(
+        [in](std::string_view* k, std::string_view* v) {
+          if (in->AtEnd()) return false;
+          *k = in->ReadStringView();
+          *v = in->ReadStringView();
+          return true;
+        },
+        ord);
+  }
+  std::vector<api::KeyedPair> merged;
+  merged.reserve(pairs->size() + remote_records);
+  std::string_view mk, mv;
+  uint64_t ord = 0;
+  size_t consumed = 0;
+  while (merger.Next(&mk, &mv, &ord)) {
+    if (ord == 0) {
+      merged.push_back(std::move((*pairs)[consumed++]));
+      continue;
+    }
+    const RunFactories& run = factories_of.find(ord)->second;
+    api::KeyedPair kp;
+    kp.key_bytes.assign(mk.data(), mk.size());
+    kp.key = run.make_key();
+    serialize::DeserializeFromString(kp.key_bytes, kp.key.get());
+    kp.value = run.make_value();
+    serialize::DeserializeFromString(mv, kp.value.get());
+    merged.push_back(std::move(kp));
+  }
+  *pairs = std::move(merged);
 }
 
 }  // namespace
@@ -537,7 +722,164 @@ class CheckpointRunSpillSink : public RunSpillSink {
   std::atomic<bool> used_{false};
 };
 
+struct ReduceResult {
+  Status status;
+  double cpu_seconds = 0;
+  uint64_t output_bytes = 0;
+};
+
 }  // namespace
+
+/// What one submission's stages share (DESIGN.md §17). Members are
+/// destroyed in reverse declaration order: the exchange goes before the
+/// comparator and spill sink it points at, and the fault/integrity guard,
+/// declared first of the guards, comes off last.
+struct M3REngine::JobContext {
+  /// Installs the job's fault injector and integrity context on the base
+  /// file system and the cache for the duration of the submission.
+  class FaultGuard {
+   public:
+    FaultGuard(dfs::FileSystem* fs, Cache* cache,
+               std::shared_ptr<FaultInjector> fault,
+               std::shared_ptr<IntegrityContext> integrity)
+        : fs_(fs), cache_(cache) {
+      fs_->SetFaultInjector(std::move(fault));
+      fs_->SetIntegrity(integrity);
+      cache_->SetIntegrity(std::move(integrity));
+    }
+    FaultGuard(const FaultGuard&) = delete;
+    FaultGuard& operator=(const FaultGuard&) = delete;
+    ~FaultGuard() {
+      fs_->SetFaultInjector(nullptr);
+      fs_->SetIntegrity(nullptr);
+      cache_->SetIntegrity(nullptr);
+    }
+
+   private:
+    dfs::FileSystem* fs_;
+    Cache* cache_;
+  };
+
+  /// Pins the job's input and output subtrees: the background evictor must
+  /// never spill the data a running job is mapping over or publishing (pins
+  /// also shield the reuse registry entries rooted under them).
+  class PinGuard {
+   public:
+    explicit PinGuard(memgov::CacheManager* mgr) : mgr_(mgr) {}
+    PinGuard(const PinGuard&) = delete;
+    PinGuard& operator=(const PinGuard&) = delete;
+    ~PinGuard() { ReleaseAll(); }
+    void Add(const std::string& p) {
+      mgr_->Pin(p);
+      paths_.push_back(p);
+    }
+    void ReleaseAll() {
+      for (const std::string& p : paths_) mgr_->Unpin(p);
+      paths_.clear();
+    }
+
+   private:
+    memgov::CacheManager* mgr_;
+    std::vector<std::string> paths_;
+  };
+
+  JobContext(const api::JobConf& submitted, int places,
+             memgov::CacheManager* cache_manager)
+      : conf(submitted),
+        num_places(places),
+        pins(cache_manager),
+        membership(places),
+        place_attempts(static_cast<size_t>(places)) {}
+
+  /// Whether another place crash fails the job (a budget of 0 means no
+  /// in-flight recovery at all). Race-free without a lock: crashes_handled
+  /// only changes at quiesce, after the round's strands are joined.
+  bool CrashBudgetSpent() const { return crashes_handled >= max_crashes; }
+  /// The shuffle's run order when it is not the raw-byte default.
+  const sortkit::RawCompareFn* run_comparator() const {
+    return run_cmp ? &run_cmp : nullptr;
+  }
+
+  // --- Admit ---
+  api::JobConf conf;
+  api::JobResult result;
+  Stopwatch wall;
+  int salt = 0;
+  const int num_places;
+  int num_reduce = 0;
+  bool temporary = false;
+  bool checkpoint_tempout = false;
+  bool reuse_exact = false;
+  int max_crashes = 0;
+  size_t flush_bytes = 0;
+  size_t partition_budget_bytes = 0;
+  std::map<int, int> crash_script;
+  std::shared_ptr<FaultInjector> fault;
+  std::shared_ptr<IntegrityContext> integrity;
+  std::optional<FaultGuard> fault_guard;
+  PinGuard pins;
+  memgov::CacheManager::Counters mg0;
+  l2cache::L2Counters l20;
+  bool l2_on = false;
+  std::mutex memgov_mu;
+
+  // --- Reuse ---
+  std::string lineage_sig;
+  std::shared_ptr<api::OutputFormat> output_format;
+  /// Output specs passed and the output is the job's: a failure from here
+  /// on cleans it up and sends the FAILED job-end notification.
+  bool owns_output = false;
+  /// Served from a reused or checkpointed output; nothing left to run.
+  bool served = false;
+
+  // --- Place membership and crash tallies (DESIGN.md §14) ---
+  MembershipService membership;
+  std::mutex crash_mu;
+  Status crash_status;  // first *unrecovered* crash; cleared per recovery
+  int64_t place_crashes = 0;
+  int64_t crash_evicted_blocks = 0;
+  int64_t recovered_map_tasks = 0;
+  uint64_t pmap_version = 1;
+
+  // --- Plan ---
+  std::vector<TaskPlan> tasks;
+  std::vector<std::vector<size_t>> tasks_of_place;
+  int workers = 1;
+  std::optional<CheckpointRunSpillSink> run_spill_sink;
+  serialize::RawComparatorPtr run_sort_cmp;
+  sortkit::RawCompareFn run_cmp;
+  std::optional<ShuffleExchange> shuffle;
+
+  // --- MapRounds ---
+  std::atomic<size_t> map_tasks_done{0};
+  std::atomic<bool> map_aborted{false};
+  std::atomic<bool> cancelled{false};
+  /// Map tasks each place has started, for the scripted crash points.
+  std::vector<std::atomic<int>> place_attempts;
+  bool lane_hash_combine = false;
+  std::mutex hash_mu;
+  Status hash_status;
+  /// Per-task completion, read at quiesce points (after the round's join)
+  /// to tell lost-and-replayable work from never-started work. Each index
+  /// is written by exactly one strand per round.
+  std::vector<char> task_done;
+  int crashes_handled = 0;
+  double recovery_heal_seconds = 0;
+
+  // --- Simulated timeline ---
+  double t0 = 0;  // the per-job overhead every timeline starts after
+  double phase_end = 0;  // map phase plus recovery span
+  double reduce_start = 0;
+  double total = 0;
+
+  // --- Reduce ---
+  std::vector<ReduceResult> reduce_results;
+  bool reduce_immutable = false;
+  /// Sort-kernel CPU across every reduce task (including work stolen by
+  /// pool strands), charged to time_breakdown["sort"].
+  std::mutex sort_mu;
+  double sort_cpu_total = 0;
+};
 
 M3REngine::M3REngine(std::shared_ptr<dfs::FileSystem> base_fs,
                      M3REngineOptions options)
@@ -592,21 +934,10 @@ M3REngine::M3REngine(std::shared_ptr<dfs::FileSystem> base_fs,
                                 const kvstore::KVSeq& pairs, uint64_t bytes,
                                 bool whole_file) {
     if (!tiered_->L2Enabled()) return;
-    x10rt::Channel ch(options_.dedup_mode);
-    for (const auto& [k, v] : pairs) {
-      ch.Send(k);
-      ch.Send(v);
-    }
-    x10rt::Channel::Wire wire = ch.Finish();
-    l2cache::BlockPayload p;
-    p.block_name = block_name;
-    p.place = place;
-    p.bytes = bytes;
-    p.whole_file = whole_file;
-    p.crc = crc32c::Crc32c(wire.bytes);
-    p.wire = std::move(wire.bytes);
-    (void)tiered_->AcceptOverflow(path, base_fs_->Exists(path),
-                                  std::move(p));
+    (void)tiered_->AcceptOverflow(
+        path, base_fs_->Exists(path),
+        EncodeBlock(block_name, place, bytes, whole_file, pairs,
+                    options_.dedup_mode));
   });
   // Clients read cache-only outputs through fs_ (ListStatus union,
   // GetCacheRecordReader) without going through job submission, so the
@@ -647,25 +978,6 @@ void M3REngine::WaitForCheckpoints() {
   }
 }
 
-std::vector<std::string> M3REngine::AllCacheOnlyFiles() {
-  std::vector<std::string> out;
-  std::vector<std::string> stack = {"/"};
-  while (!stack.empty()) {
-    std::string dir = stack.back();
-    stack.pop_back();
-    auto list_or = cache_.store().List(dir);
-    if (!list_or.ok()) continue;
-    for (const kvstore::PathInfo& info : *list_or) {
-      if (info.is_directory) {
-        stack.push_back(info.path);
-      } else if (!info.blocks.empty() && !base_fs_->Exists(info.path)) {
-        out.push_back(info.path);
-      }
-    }
-  }
-  return out;
-}
-
 void M3REngine::ScheduleCheckpoint(std::vector<std::string> files) {
   struct FileSnap {
     std::string path;
@@ -673,10 +985,14 @@ void M3REngine::ScheduleCheckpoint(std::vector<std::string> files) {
   };
   // Snapshot the blocks up front: pair sequences are shared_ptrs, so the
   // spill thread works off an immutable view even if the cache moves on.
+  // The snapshot is metered ("checkpoint.queue" consumer): it pins its
+  // memory until the spill lands, which the governor must see.
   std::map<std::string, std::vector<FileSnap>> by_dir;
+  uint64_t queued_bytes = 0;
   for (const std::string& f : files) {
     auto blocks_or = cache_.GetFileBlocks(f);
     if (!blocks_or.ok() || blocks_or->empty()) continue;
+    for (const Cache::Block& block : *blocks_or) queued_bytes += block.bytes;
     size_t slash = f.find_last_of('/');
     std::string dir = slash == 0 ? "/" : f.substr(0, slash);
     by_dir[dir].push_back(FileSnap{f, blocks_or.take()});
@@ -684,15 +1000,6 @@ void M3REngine::ScheduleCheckpoint(std::vector<std::string> files) {
   if (by_dir.empty()) return;
   auto base = base_fs_;
   serialize::DedupMode mode = options_.dedup_mode;
-  // Meter the snapshot the spill thread keeps alive ("checkpoint.queue"
-  // consumer): the shared_ptr'd pair sequences pin their memory until the
-  // spill lands, which the governor must see.
-  uint64_t queued_bytes = 0;
-  for (const auto& [dir, group] : by_dir) {
-    for (const FileSnap& file : group) {
-      for (const Cache::Block& block : file.blocks) queued_bytes += block.bytes;
-    }
-  }
   governor_.AddUsage("checkpoint.queue", static_cast<int64_t>(queued_bytes));
   // Under governance, eviction spills share the checkpoint directories and
   // must survive this thread's stale-spill cleanup: skip the pre-delete
@@ -701,8 +1008,7 @@ void M3REngine::ScheduleCheckpoint(std::vector<std::string> files) {
   std::thread worker([this, base, mode, clean_stale, queued_bytes,
                       snap = std::move(by_dir)]() {
     for (const auto& [dir, group] : snap) {
-      const std::string cdir =
-          std::string(kCheckpointRoot) + (dir == "/" ? "" : dir);
+      const std::string cdir = CheckpointDirOf(dir);
       if (clean_stale) {
         base->Delete(cdir, true);  // stale spill from an earlier sequence
       }
@@ -710,24 +1016,11 @@ void M3REngine::ScheduleCheckpoint(std::vector<std::string> files) {
       for (const FileSnap& file : group) {
         std::string name = file.path.substr(file.path.find_last_of('/') + 1);
         for (const Cache::Block& block : file.blocks) {
-          x10rt::Channel ch(mode);
-          for (const auto& [k, v] : *block.pairs) {
-            ch.Send(k);
-            ch.Send(v);
-          }
-          x10rt::Channel::Wire wire = ch.Finish();
-          // Header: home place, byte estimate, payload CRC32C, whole-file
-          // flag. The stamp is unconditional (like the DFS's block
-          // checksums) so a restore under any future integrity mode can
-          // verify it.
-          std::string content = std::to_string(block.info.place) + " " +
-                                std::to_string(block.bytes) + " " +
-                                std::to_string(crc32c::Crc32c(wire.bytes)) +
-                                " " + (block.info.whole_file ? "1" : "0") +
-                                "\n";
-          content += wire.bytes;
           Status st = base->WriteFile(
-              cdir + "/" + name + ".blk." + block.info.name, content);
+              cdir + "/" + name + ".blk." + block.info.name,
+              CheckpointFileContent(EncodeBlock(
+                  block.info.name, block.info.place, block.bytes,
+                  block.info.whole_file, *block.pairs, mode)));
           if (!st.ok()) {
             all_ok = false;
             M3R_LOG(Warn) << "checkpoint spill of " << file.path
@@ -752,31 +1045,9 @@ void M3REngine::ScheduleCheckpoint(std::vector<std::string> files) {
 }
 
 Status M3REngine::SpillFileToCheckpoint(const std::string& path) {
-  M3R_ASSIGN_OR_RETURN(std::vector<Cache::Block> blocks,
-                       cache_.GetFileBlocks(path));
-  if (blocks.empty()) return Status::NotFound("nothing cached: " + path);
-  size_t slash = path.find_last_of('/');
-  const std::string dir = slash == 0 ? "/" : path.substr(0, slash);
-  const std::string name = path.substr(slash + 1);
-  const std::string cdir =
-      std::string(kCheckpointRoot) + (dir == "/" ? "" : dir);
-  for (const Cache::Block& block : blocks) {
-    x10rt::Channel ch(options_.dedup_mode);
-    for (const auto& [k, v] : *block.pairs) {
-      ch.Send(k);
-      ch.Send(v);
-    }
-    x10rt::Channel::Wire wire = ch.Finish();
-    std::string content = std::to_string(block.info.place) + " " +
-                          std::to_string(block.bytes) + " " +
-                          std::to_string(crc32c::Crc32c(wire.bytes)) + " " +
-                          (block.info.whole_file ? "1" : "0") + "\n";
-    content += wire.bytes;
-    M3R_RETURN_NOT_OK(base_fs_->WriteFile(
-        cdir + "/" + name + ".blk." + block.info.name, content));
-  }
-  // The file's spill is complete; (re)commit the directory so heals see it.
-  return base_fs_->WriteFile(cdir + "/_DONE", "1\n");
+  std::vector<l2cache::BlockPayload> payloads;
+  M3R_RETURN_NOT_OK(FreezePayloads(path, &payloads));
+  return SpillPayloadsToCheckpoint(path, payloads);
 }
 
 Status M3REngine::FreezePayloads(const std::string& path,
@@ -785,20 +1056,9 @@ Status M3REngine::FreezePayloads(const std::string& path,
                        cache_.GetFileBlocks(path));
   if (blocks.empty()) return Status::NotFound("nothing cached: " + path);
   for (const Cache::Block& block : blocks) {
-    x10rt::Channel ch(options_.dedup_mode);
-    for (const auto& [k, v] : *block.pairs) {
-      ch.Send(k);
-      ch.Send(v);
-    }
-    x10rt::Channel::Wire wire = ch.Finish();
-    l2cache::BlockPayload p;
-    p.block_name = block.info.name;
-    p.place = block.info.place;
-    p.bytes = block.bytes;
-    p.whole_file = block.info.whole_file;
-    p.crc = crc32c::Crc32c(wire.bytes);
-    p.wire = std::move(wire.bytes);
-    out->push_back(std::move(p));
+    out->push_back(EncodeBlock(block.info.name, block.info.place, block.bytes,
+                               block.info.whole_file, *block.pairs,
+                               options_.dedup_mode));
   }
   return Status::OK();
 }
@@ -811,14 +1071,8 @@ Status M3REngine::ThawPayloads(
     if (crc32c::Crc32c(p.wire) != p.crc) {
       return Status::DataLoss("L2 payload checksum mismatch: " + path);
     }
-    std::vector<serialize::WritablePtr> objs = x10rt::Channel::Decode(p.wire);
-    KVSeq seq;
-    seq.reserve(objs.size() / 2);
-    for (size_t i = 0; i + 1 < objs.size(); i += 2) {
-      seq.emplace_back(objs[i], objs[i + 1]);
-    }
     M3R_RETURN_NOT_OK(cache_.PutBlock(path, p.block_name, p.place,
-                                      std::move(seq), p.bytes,
+                                      DecodePairs(p.wire), p.bytes,
                                       /*fill_seconds=*/0.0,
                                       /*droppable=*/false, p.whole_file));
   }
@@ -829,20 +1083,15 @@ Status M3REngine::SpillPayloadsToCheckpoint(
     const std::string& path,
     const std::vector<l2cache::BlockPayload>& payloads) {
   if (payloads.empty()) return Status::NotFound("no payloads: " + path);
-  size_t slash = path.find_last_of('/');
-  const std::string dir = slash == 0 ? "/" : path.substr(0, slash);
-  const std::string name = path.substr(slash + 1);
+  const size_t slash = path.find_last_of('/');
   const std::string cdir =
-      std::string(kCheckpointRoot) + (dir == "/" ? "" : dir);
+      CheckpointDirOf(slash == 0 ? "/" : path.substr(0, slash));
+  const std::string name = path.substr(slash + 1);
   for (const l2cache::BlockPayload& p : payloads) {
-    std::string content = std::to_string(p.place) + " " +
-                          std::to_string(p.bytes) + " " +
-                          std::to_string(p.crc) + " " +
-                          (p.whole_file ? "1" : "0") + "\n";
-    content += p.wire;
     M3R_RETURN_NOT_OK(base_fs_->WriteFile(
-        cdir + "/" + name + ".blk." + p.block_name, content));
+        cdir + "/" + name + ".blk." + p.block_name, CheckpointFileContent(p)));
   }
+  // The file's spill is complete; (re)commit the directory so heals see it.
   return base_fs_->WriteFile(cdir + "/_DONE", "1\n");
 }
 
@@ -910,15 +1159,9 @@ Status M3REngine::RestoreDirFromCheckpoint(const std::string& dir,
     char* after_wf = nullptr;
     uint64_t whole_file = std::strtoull(after_crc, &after_wf, 10);
     if (after_wf == after_crc) whole_file = 0;
-    std::vector<serialize::WritablePtr> objs = x10rt::Channel::Decode(payload);
-    KVSeq seq;
-    seq.reserve(objs.size() / 2);
-    for (size_t i = 0; i + 1 < objs.size(); i += 2) {
-      seq.emplace_back(objs[i], objs[i + 1]);
-    }
     M3R_RETURN_NOT_OK(cache_.PutBlock(target, block_name,
                                       static_cast<int>(place),
-                                      std::move(seq), est,
+                                      DecodePairs(payload), est,
                                       /*fill_seconds=*/0.0,
                                       /*droppable=*/false,
                                       whole_file != 0));
@@ -943,26 +1186,15 @@ Result<int> M3REngine::PrepopulateCache(const api::JobConf& conf) {
     // Route the read to the place that would own the split.
     const api::InputSplit* base_split = nullptr;
     JobConf tconf = api::SpecializeConfForSplit(conf, split, &base_split);
-    auto reader_or =
-        api::MakeInputFormat(tconf)->GetRecordReader(*base_split, tconf,
-                                                     *fs_);
-    if (!reader_or.ok()) {
-      statuses[i] = reader_or.status();
+    Stopwatch fill_sw;
+    Result<KVSeq> seq_or = ReadSplit(*base_split, tconf, *fs_);
+    if (!seq_or.ok()) {
+      statuses[i] = seq_or.status();
       return;
     }
-    auto reader = reader_or.take();
-    Stopwatch fill_sw;
-    KVSeq seq;
-    for (;;) {
-      WritablePtr k = reader->CreateKey();
-      WritablePtr v = reader->CreateValue();
-      if (!reader->Next(*k, *v)) break;
-      seq.emplace_back(std::move(k), std::move(v));
-    }
-    reader->Close();
     int place = 0;
     auto locs = split.GetLocations();
-    if (const auto* placed = FindPlacedSplit(split)) {
+    if (const auto* placed = FindSplit<api::PlacedSplit>(split)) {
       place = StablePlaceOfPartition(placed->GetPlacedPartition(),
                                      places_.NumPlaces());
     } else if (!locs.empty()) {
@@ -971,7 +1203,7 @@ Result<int> M3REngine::PrepopulateCache(const api::JobConf& conf) {
       place = static_cast<int>(i) % places_.NumPlaces();
     }
     statuses[i] = cache_.PutBlock(*name, Cache::BlockNameForSplit(split),
-                                  place, std::move(seq), split.GetLength(),
+                                  place, seq_or.take(), split.GetLength(),
                                   fill_sw.ElapsedSeconds(),
                                   /*droppable=*/true);
     if (statuses[i].ok()) ++loaded;
@@ -994,100 +1226,85 @@ api::JobResult M3REngine::Submit(const api::JobConf& conf) {
   return result;
 }
 
-api::JobResult M3REngine::SubmitImpl(const api::JobConf& submitted_conf) {
-  // Local copy: distributed-cache contents are installed into the
-  // configuration tasks see. M3R localizes through its own FS view, so
-  // cache-resident (temporary) side files work too; places are long-lived
-  // so no per-job localization cost is charged (paper §5.3).
-  api::JobConf conf = submitted_conf;
-  if (conf.Contains(api::conf::kCacheFiles)) {
-    auto localized = api::DistributedCache::Localize(conf, *fs_);
-    if (!localized.ok()) return Fail(localized.status());
-    api::DistributedCache::InstallIntoConf(*localized, &conf);
+api::JobResult M3REngine::SubmitImpl(const api::JobConf& conf) {
+  JobContext ctx(conf, places_.NumPlaces(), cache_manager_.get());
+  using Stage = Status (M3REngine::*)(JobContext&);
+  for (Stage stage : {&M3REngine::Admit, &M3REngine::Reuse, &M3REngine::Plan,
+                      &M3REngine::MapRounds, &M3REngine::Exchange,
+                      &M3REngine::Reduce, &M3REngine::Commit}) {
+    Status st = (this->*stage)(ctx);
+    if (!st.ok() || ctx.served) return Finish(ctx, std::move(st));
   }
-  Stopwatch wall;
-  const sim::ClusterSpec& spec = options_.cluster;
-  const int num_places = places_.NumPlaces();
-  const int num_reduce = conf.NumReduceTasks();
-  api::JobResult result;
-  int salt = ++job_counter_;
+  return Finish(ctx, Status::OK());
+}
 
+Status M3REngine::Admit(JobContext& ctx) {
+  api::JobConf& conf = ctx.conf;
+  // Distributed-cache contents are installed into the configuration tasks
+  // see. M3R localizes through its own FS view, so cache-resident
+  // (temporary) side files work too; places are long-lived so no per-job
+  // localization cost is charged (paper §5.3).
+  if (conf.Contains(api::conf::kCacheFiles)) {
+    M3R_ASSIGN_OR_RETURN(auto localized,
+                         api::DistributedCache::Localize(conf, *fs_));
+    api::DistributedCache::InstallIntoConf(localized, &conf);
+  }
+  ctx.wall.Restart();
+  ctx.salt = ++job_counter_;
+  ctx.t0 = options_.cluster.m3r_job_overhead_s;
+  ctx.num_reduce = conf.NumReduceTasks();
   // Temporary outputs only exist by virtue of the cache; with the cache
   // ablated, every output must be materialized (Hadoop behavior).
-  const bool temporary =
+  ctx.temporary =
       options_.enable_cache && Cache::IsTemporary(conf, conf.OutputPath());
 
-  const std::string ckpt_policy =
-      conf.Get(api::conf::kCacheCheckpoint, "off");
-  if (ckpt_policy != "off" && ckpt_policy != "tempout" &&
-      ckpt_policy != "all") {
-    return Fail(Status::InvalidArgument(
-        std::string("bad ") + api::conf::kCacheCheckpoint + ": " +
-        ckpt_policy));
-  }
-
-  // --- Mid-job place-failure recovery (DESIGN.md §14) ---
-  const std::string recovery_mode =
-      conf.Get(api::conf::kPlaceRecovery, "replay");
-  if (recovery_mode != "off" && recovery_mode != "replay") {
-    return Fail(Status::InvalidArgument(
-        std::string("bad ") + api::conf::kPlaceRecovery + ": " +
-        recovery_mode));
-  }
-  const bool recovery_on = recovery_mode == "replay";
+  // One validation pass over the job's M3R knobs, before any of them
+  // touches the engine. Unparseable numbers read as 0 and are rejected
+  // with the out-of-range values.
+  const std::string checkpoint = conf.Get(api::conf::kCacheCheckpoint, "off");
+  const std::string reuse = conf.Get(api::conf::kCacheReuse, "off");
   const int max_crashes = static_cast<int>(
       conf.GetInt(api::conf::kPlaceRecoveryMaxCrashes, 2));
-  if (max_crashes < 0) {
-    return Fail(Status::InvalidArgument(
-        std::string("bad ") + api::conf::kPlaceRecoveryMaxCrashes));
-  }
-
-  // --- Shuffle run knobs (DESIGN.md §15). Unparseable text reads as 0, so
-  // it is rejected with the non-positive flush thresholds. ---
   const int64_t flush_bytes =
       conf.GetInt(api::conf::kShuffleFlushBytes, 256 * 1024);
-  if (flush_bytes <= 0) {
-    return Fail(Status::InvalidArgument(
-        std::string("bad ") + api::conf::kShuffleFlushBytes + ": " +
-        conf.Get(api::conf::kShuffleFlushBytes)));
-  }
   const int64_t budget_mb =
       conf.GetInt(api::conf::kShufflePartitionBudgetMb, 0);
-  if (budget_mb < 0) {
-    return Fail(Status::InvalidArgument(
-        std::string("bad ") + api::conf::kShufflePartitionBudgetMb + ": " +
-        conf.Get(api::conf::kShufflePartitionBudgetMb)));
-  }
-  // Scripted crash points "P:N[,P:N...]": place P dies when it is about to
-  // start its (N+1)-th map task. Entries for places the job doesn't have
-  // never trigger.
-  std::map<int, int> crash_script;
-  {
-    const std::string script = conf.Get(api::conf::kPlaceCrashAt, "");
-    size_t pos = 0;
-    while (pos < script.size()) {
-      size_t comma = script.find(',', pos);
-      const std::string item = script.substr(
-          pos, comma == std::string::npos ? std::string::npos : comma - pos);
-      pos = comma == std::string::npos ? script.size() : comma + 1;
-      if (item.empty()) continue;
-      char* after_place = nullptr;
-      long p = std::strtol(item.c_str(), &after_place, 10);
-      char* after_ordinal = nullptr;
-      long n = after_place != nullptr && *after_place == ':'
-                   ? std::strtol(after_place + 1, &after_ordinal, 10)
-                   : -1;
-      if (after_place == item.c_str() || *after_place != ':' ||
-          after_ordinal == after_place + 1 ||
-          (after_ordinal != nullptr && *after_ordinal != '\0') || p < 0 ||
-          n < 0) {
-        return Fail(Status::InvalidArgument(
-            std::string("bad ") + api::conf::kPlaceCrashAt + " entry: " +
-            item));
-      }
-      crash_script[static_cast<int>(p)] = static_cast<int>(n);
+  const double l2_share = conf.GetDouble(api::conf::kCacheL2Share, 0.0);
+  std::optional<std::map<int, int>> crash_script =
+      ParseCrashScript(conf.Get(api::conf::kPlaceCrashAt, ""));
+  const struct {
+    const char* key;
+    bool ok;
+  } knobs[] = {
+      {api::conf::kCacheCheckpoint, checkpoint == "off" ||
+                                        checkpoint == "tempout"},
+      {api::conf::kPlaceRecoveryMaxCrashes, max_crashes >= 0},
+      {api::conf::kShuffleFlushBytes, flush_bytes > 0},
+      {api::conf::kShufflePartitionBudgetMb, budget_mb >= 0},
+      {api::conf::kPlaceCrashAt, crash_script.has_value()},
+      {api::conf::kCacheL2Share, l2_share >= 0.0 && l2_share <= 1.0},
+      {api::conf::kCacheReuse, reuse == "off" || reuse == "exact"},
+  };
+  for (const auto& knob : knobs) {
+    if (!knob.ok) {
+      return Status::InvalidArgument(std::string("bad ") + knob.key + ": " +
+                                     conf.Get(knob.key));
     }
   }
+  memgov::EvictionPolicy cache_policy;
+  M3R_RETURN_NOT_OK(memgov::ParseEvictionPolicy(
+      conf.Get(api::conf::kCachePolicy, "lru"), &cache_policy));
+  // Per-job fault injection (tests and resilience drills) and end-to-end
+  // integrity (m3r.integrity.mode), installed below for the submission.
+  ctx.fault = FaultInjector::FromConf(conf.raw());
+  M3R_ASSIGN_OR_RETURN(ctx.integrity,
+                       IntegrityContext::FromConf(conf.raw(), ctx.fault));
+  ctx.checkpoint_tempout = checkpoint == "tempout";
+  ctx.reuse_exact = reuse == "exact";
+  ctx.max_crashes = max_crashes;
+  ctx.flush_bytes = static_cast<size_t>(flush_bytes);
+  ctx.partition_budget_bytes = static_cast<size_t>(budget_mb) << 20;
+  ctx.crash_script = std::move(*crash_script);
 
   // --- Memory governance (DESIGN.md §11): re-read per submission so a job
   // sequence can tighten or lift the budget between jobs. ---
@@ -1101,12 +1318,6 @@ api::JobResult M3REngine::SubmitImpl(const api::JobConf& submitted_conf) {
           conf.GetDouble(key, 1.0));
     }
   }
-  memgov::EvictionPolicy cache_policy;
-  {
-    const std::string policy_name = conf.Get(api::conf::kCachePolicy, "lru");
-    Status st = memgov::ParseEvictionPolicy(policy_name, &cache_policy);
-    if (!st.ok()) return Fail(std::move(st));
-  }
   cache_manager_->Configure(
       cache_policy, conf.GetDouble(api::conf::kMemoryHighWatermark, 0.90),
       conf.GetDouble(api::conf::kMemoryLowWatermark, 0.75));
@@ -1115,252 +1326,76 @@ api::JobResult M3REngine::SubmitImpl(const api::JobConf& submitted_conf) {
   // places — the aggregate-memory thesis: the cluster holds N times what
   // one place can. Re-rung per submission (a place dead last job is
   // healthy again on the next).
-  {
-    const double l2_share = conf.GetDouble(api::conf::kCacheL2Share, 0.0);
-    if (l2_share < 0.0 || l2_share > 1.0) {
-      return Fail(Status::InvalidArgument(
-          std::string("bad ") + api::conf::kCacheL2Share + ": " +
-          conf.Get(api::conf::kCacheL2Share, "")));
-    }
-    std::vector<int> ring_places(static_cast<size_t>(places_.NumPlaces()));
-    for (size_t i = 0; i < ring_places.size(); ++i) {
-      ring_places[i] = static_cast<int>(i);
-    }
-    tiered_->ConfigureL2(
-        governor_.governed() && l2_share > 0.0, ring_places,
-        conf.GetInt(api::conf::kCacheL2VNodes, 16),
-        static_cast<uint64_t>(l2_share *
-                              static_cast<double>(governor_.budget()) *
-                              static_cast<double>(ring_places.size())));
+  std::vector<int> ring_places(static_cast<size_t>(ctx.num_places));
+  for (size_t i = 0; i < ring_places.size(); ++i) {
+    ring_places[i] = static_cast<int>(i);
   }
-  const std::string reuse_mode = conf.Get(api::conf::kCacheReuse, "off");
-  if (reuse_mode != "off" && reuse_mode != "exact") {
-    return Fail(Status::InvalidArgument(
-        std::string("bad ") + api::conf::kCacheReuse + ": " + reuse_mode));
-  }
+  tiered_->ConfigureL2(
+      governor_.governed() && l2_share > 0.0, ring_places, kL2VNodes,
+      static_cast<uint64_t>(l2_share *
+                            static_cast<double>(governor_.budget()) *
+                            static_cast<double>(ring_places.size())));
   governor_.ResetPeak();
 
-  // Per-job fault injection (tests and resilience drills): faults at the
-  // DFS sites fire through the base file system; the injector is cleared
-  // when Submit leaves, whatever the exit path.
-  std::shared_ptr<FaultInjector> fault = FaultInjector::FromConf(conf.raw());
-  // End-to-end integrity (m3r.integrity.mode): installed on the base file
-  // system (block checksums) and the cache (block fingerprints) for the
-  // duration of the submission, and carried by the shuffle for its frames.
-  auto integrity_or = IntegrityContext::FromConf(conf.raw(), fault);
-  if (!integrity_or.ok()) return Fail(integrity_or.status());
-  std::shared_ptr<IntegrityContext> integrity = integrity_or.take();
-  struct FaultGuard {
-    dfs::FileSystem* fs;
-    Cache* cache;
-    ~FaultGuard() {
-      fs->SetFaultInjector(nullptr);
-      fs->SetIntegrity(nullptr);
-      cache->SetIntegrity(nullptr);
-    }
-  } fault_guard{base_fs_.get(), &cache_};
-  base_fs_->SetFaultInjector(fault);
-  base_fs_->SetIntegrity(integrity);
-  cache_.SetIntegrity(integrity);
-
-  // Pin the job's input and output subtrees for the duration of the
-  // submission: the background evictor must never spill the data a running
-  // job is mapping over or publishing (pins also shield the reuse registry
-  // entries rooted under them).
-  struct PinGuard {
-    memgov::CacheManager* mgr;
-    std::vector<std::string> paths;
-    void Add(const std::string& p) {
-      mgr->Pin(p);
-      paths.push_back(p);
-    }
-    void ReleaseAll() {
-      for (const std::string& p : paths) mgr->Unpin(p);
-      paths.clear();
-    }
-    ~PinGuard() { ReleaseAll(); }
-  } pins{cache_manager_.get(), {}};
+  // Faults at the DFS sites fire through the base file system; the guard
+  // clears the injector whatever the exit path. Integrity is installed on
+  // the base file system (block checksums) and the cache (block
+  // fingerprints), and carried by the shuffle for its frames.
+  ctx.fault_guard.emplace(base_fs_.get(), &cache_, ctx.fault, ctx.integrity);
   for (const std::string& in : conf.InputPaths()) {
-    pins.Add(path::Canonicalize(in));
+    ctx.pins.Add(path::Canonicalize(in));
   }
   if (!conf.OutputPath().empty()) {
-    pins.Add(path::Canonicalize(conf.OutputPath()));
+    ctx.pins.Add(path::Canonicalize(conf.OutputPath()));
   }
-
   // Memory-governance counter baseline: deltas against the engine-lifetime
   // cache-manager counters become this job's counters/metrics.
-  const memgov::CacheManager::Counters mg0 = cache_manager_->counters();
-  const l2cache::L2Counters l20 = tiered_->l2_counters();
-  const bool l2_on = tiered_->L2Enabled();
-  std::mutex memgov_sync_mu;
-  auto sync_memgov = [&]() {
-    const memgov::CacheManager::Counters now = cache_manager_->counters();
-    const l2cache::L2Counters l2now = tiered_->l2_counters();
-    std::lock_guard<std::mutex> lock(memgov_sync_mu);
-    auto set_to = [&](const char* name, int64_t target) {
-      result.counters.Increment(
-          api::counters::kM3rGroup, name,
-          target - result.counters.Get(api::counters::kM3rGroup, name));
-    };
-    set_to(api::counters::kCacheEvictions,
-           static_cast<int64_t>(now.evictions - mg0.evictions));
-    set_to(api::counters::kCacheEvictedBytes,
-           static_cast<int64_t>(now.evicted_bytes - mg0.evicted_bytes));
-    set_to(api::counters::kCacheRejectedFills,
-           static_cast<int64_t>(now.rejected_fills - mg0.rejected_fills));
-    set_to(api::counters::kCacheBytesResident,
-           static_cast<int64_t>(cache_manager_->ResidentBytes()));
-    set_to(api::counters::kCacheAbortedEvictions,
-           static_cast<int64_t>(now.aborted_evictions - mg0.aborted_evictions));
-    // Protocol-health gauges, not deltas: current leases (readers + open
-    // fills) and evictions claimed but not yet published.
-    set_to(api::counters::kCacheLeasesActive,
-           static_cast<int64_t>(cache_manager_->LeasesActive()));
-    set_to(api::counters::kCacheEvictorInflight,
-           static_cast<int64_t>(cache_manager_->EvictorInflight()));
-    if (l2_on) {
-      set_to(api::counters::kL2Hits,
-             static_cast<int64_t>(l2now.hits - l20.hits));
-      set_to(api::counters::kL2Misses,
-             static_cast<int64_t>(l2now.misses - l20.misses));
-      set_to(api::counters::kL2Demotions,
-             static_cast<int64_t>(l2now.demotions - l20.demotions));
-      set_to(api::counters::kL2RemoteBytes,
-             static_cast<int64_t>(l2now.remote_bytes - l20.remote_bytes));
-      set_to(api::counters::kL2RingHeals,
-             static_cast<int64_t>(l2now.ring_heals - l20.ring_heals));
-    }
-  };
-  auto record_memgov = [&]() {
-    sync_memgov();
-    const memgov::CacheManager::Counters now = cache_manager_->counters();
-    result.metrics["cache_bytes_resident"] =
-        static_cast<int64_t>(cache_manager_->ResidentBytes());
-    result.metrics["cache_evictions"] =
-        static_cast<int64_t>(now.evictions - mg0.evictions);
-    result.metrics["cache_evicted_bytes"] =
-        static_cast<int64_t>(now.evicted_bytes - mg0.evicted_bytes);
-    result.metrics["cache_spilled_evictions"] =
-        static_cast<int64_t>(now.spilled_evictions - mg0.spilled_evictions);
-    result.metrics["cache_rejected_fills"] =
-        static_cast<int64_t>(now.rejected_fills - mg0.rejected_fills);
-    result.metrics["cache_forced_fills"] =
-        static_cast<int64_t>(now.forced_fills - mg0.forced_fills);
-    result.metrics["cache_aborted_evictions"] =
-        static_cast<int64_t>(now.aborted_evictions - mg0.aborted_evictions);
-    result.metrics["cache_leases_active"] =
-        static_cast<int64_t>(cache_manager_->LeasesActive());
-    result.metrics["cache_evictor_inflight"] =
-        static_cast<int64_t>(cache_manager_->EvictorInflight());
-    if (governor_.governed()) {
-      result.metrics["memory_budget_bytes"] =
-          static_cast<int64_t>(governor_.budget());
-      result.metrics["memory_peak_bytes"] =
-          static_cast<int64_t>(governor_.PeakUsage());
-    }
-    if (l2_on) {
-      const l2cache::L2Counters l2now = tiered_->l2_counters();
-      result.metrics["l2_hits"] = static_cast<int64_t>(l2now.hits - l20.hits);
-      result.metrics["l2_misses"] =
-          static_cast<int64_t>(l2now.misses - l20.misses);
-      result.metrics["l2_demotions"] =
-          static_cast<int64_t>(l2now.demotions - l20.demotions);
-      result.metrics["l2_remote_bytes"] =
-          static_cast<int64_t>(l2now.remote_bytes - l20.remote_bytes);
-      result.metrics["l2_ring_heals"] =
-          static_cast<int64_t>(l2now.ring_heals - l20.ring_heals);
-      result.metrics["l2_overflow_fills"] =
-          static_cast<int64_t>(l2now.overflow_fills - l20.overflow_fills);
-      result.metrics["l2_bytes_resident"] =
-          static_cast<int64_t>(tiered_->L2ResidentBytes());
-    }
-  };
+  ctx.mg0 = cache_manager_->counters();
+  ctx.l20 = tiered_->l2_counters();
+  ctx.l2_on = tiered_->L2Enabled();
+  return Status::OK();
+}
 
+Status M3REngine::Reuse(JobContext& ctx) {
+  const api::JobConf& conf = ctx.conf;
+  api::JobResult& result = ctx.result;
   // --- ReStore-style cross-job output reuse (m3r.cache.reuse=exact): a job
   // whose lineage signature — inputs (+ content versions), configuration
   // minus volatile keys, mapper/reducer/combiner identity — matches a
   // previously registered output short-circuits to that output, skipping
   // the map and reduce phases entirely. ---
-  std::string lineage_sig;
-  if (options_.enable_cache && reuse_mode == "exact") {
-    lineage_sig = memgov::LineageSignature(
+  if (options_.enable_cache && ctx.reuse_exact) {
+    ctx.lineage_sig = memgov::LineageSignature(
         conf, [this](const std::string& p) { return InputVersion(p); });
-    const std::string out = path::Canonicalize(conf.OutputPath());
-    if (auto src = cache_manager_->LookupReuse(lineage_sig)) {
-      bool served = false;
-      if (*src == out) {
-        // Identical output path: the cached output is already in place.
-        served = true;
-      } else if (temporary && !fs_->Exists(out)) {
-        // Same lineage under a new temporary name: clone the registered
-        // output's cached blocks to the new path. Lease the source
-        // directory for the whole clone so the background evictor cannot
-        // claim one of its files between LookupReuse and the copy.
-        memgov::CacheManager::ReadLease reuse_lease = cache_.LeaseRead(*src);
-        served = true;
-        for (const std::string& f : cache_.FilesUnder(*src)) {
-          auto blocks_or = cache_.GetFileBlocks(f);
-          if (!blocks_or.ok()) {
-            served = false;
-            break;
-          }
-          const std::string dst = out + f.substr(src->size());
-          for (const auto& b : *blocks_or) {
-            if (b.pairs == nullptr) continue;
-            Status st = cache_.PutBlock(dst, b.info.name, b.info.place,
-                                        *b.pairs, b.bytes,
-                                        /*fill_seconds=*/0.0,
-                                        /*droppable=*/false,
-                                        b.info.whole_file);
-            if (!st.ok()) {
-              M3R_LOG(Warn) << "reuse clone of " << f
-                            << " failed: " << st.ToString();
-              served = false;
-              break;
-            }
-          }
-          if (!served) break;
-        }
-        if (!served) cache_.Delete(out);
-      }
-      if (served) {
-        result.metrics["reused_from_cache"] = 1;
-        result.counters.Increment(api::counters::kM3rGroup,
-                                  api::counters::kReusedFromCache, 1);
-        double t0 = spec.m3r_job_overhead_s;
-        result.time_breakdown["job_overhead"] = t0;
-        result.sim_seconds = t0;
-        result.wall_seconds = wall.ElapsedSeconds();
-        result.status = Status::OK();
-        record_memgov();
-        ReportProgress(conf, 1.0, &result.counters);
-        NotifyJobEnd(conf, result);
-        return result;
-      }
+    if (ServeReusedOutput(ctx)) {
+      result.metrics["reused_from_cache"] = 1;
+      result.counters.Increment(api::counters::kM3rGroup,
+                                api::counters::kReusedFromCache, 1);
+      result.time_breakdown["job_overhead"] = ctx.t0;
+      result.sim_seconds = ctx.t0;
+      ctx.served = true;
+      return Status::OK();
     }
   }
 
-  auto output_format = api::MakeOutputFormat(conf);
-  if (!temporary) {
-    Status st = output_format->CheckOutputSpecs(conf, *fs_);
-    if (!st.ok()) return Fail(std::move(st));
+  ctx.output_format = api::MakeOutputFormat(conf);
+  if (!ctx.temporary) {
+    M3R_RETURN_NOT_OK(ctx.output_format->CheckOutputSpecs(conf, *fs_));
     api::FileOutputCommitter committer;
-    st = committer.SetupJob(conf, *fs_);
-    if (!st.ok()) return Fail(std::move(st));
+    M3R_RETURN_NOT_OK(committer.SetupJob(conf, *fs_));
   } else {
     if (fs_->Exists(conf.OutputPath())) {
-      return Fail(
-          Status::AlreadyExists("output exists: " + conf.OutputPath()));
+      return Status::AlreadyExists("output exists: " + conf.OutputPath());
     }
     // Recovery: a fresh (restarted) instance finds the output already
     // spilled to the DFS — reload it into the cache and skip the job
     // instead of re-running it (replay from the last materialized output).
-    if (ckpt_policy != "off") {
+    if (ctx.checkpoint_tempout) {
       int rfiles = 0;
       uint64_t rbytes = 0;
       Status st = RestoreDirFromCheckpoint(conf.OutputPath(),
                                            /*only_missing=*/false, &rfiles,
-                                           &rbytes, integrity.get());
+                                           &rbytes, ctx.integrity.get());
       if (!st.ok()) {
         M3R_LOG(Warn) << "checkpoint restore of " << conf.OutputPath()
                       << " failed, running the job: " << st.ToString();
@@ -1369,126 +1404,123 @@ api::JobResult M3REngine::SubmitImpl(const api::JobConf& submitted_conf) {
         result.metrics["recovered_from_checkpoint"] = 1;
         result.metrics["recovered_files"] = rfiles;
         result.metrics["recovered_bytes"] = static_cast<int64_t>(rbytes);
-        double t0 = spec.m3r_job_overhead_s;
         double restore = cost_.DfsRead(rbytes, /*local=*/false);
-        result.time_breakdown["job_overhead"] = t0;
+        result.time_breakdown["job_overhead"] = ctx.t0;
         result.time_breakdown["checkpoint_restore"] = restore;
-        result.sim_seconds = t0 + restore;
-        result.wall_seconds = wall.ElapsedSeconds();
-        result.status = Status::OK();
-        record_memgov();
-        ReportProgress(conf, 1.0, &result.counters);
-        NotifyJobEnd(conf, result);
-        return result;
+        result.sim_seconds = ctx.t0 + restore;
+        ctx.served = true;
+        return Status::OK();
       }
     }
   }
-
   // Output spec validation passed and (for materialized outputs) the output
   // directory is ours: from here on a failure aborts and removes whatever
   // the job produced, then pings the FAILED job-end notification — the
   // contract JobClient's retry loop and external workflow managers rely on.
-  auto record_integrity = [&]() {
-    if (integrity == nullptr || !integrity->enabled()) return;
-    result.metrics["integrity_detected"] =
-        integrity->counters->detected.load();
-    result.metrics["integrity_repaired"] =
-        integrity->counters->repaired.load();
-    result.metrics["integrity_bytes_checksummed"] =
-        integrity->counters->bytes_checksummed.load();
-  };
-  // --- Place membership for this submission (DESIGN.md §14): one view per
-  // job, fed by the m3r.place fault site and the scripted crash knob.
-  // Suspicion is raised mid-round from any strand; deaths are confirmed
-  // (and torn down exactly once per place) only at quiesce points. ---
-  MembershipService membership(num_places);
-  std::mutex crash_mu;
-  Status crash_status;  // first *unrecovered* crash; cleared per recovery
-  int64_t place_crashes = 0;
-  int64_t crash_evicted_blocks = 0;
-  int64_t recovered_map_tasks_total = 0;
-  uint64_t pmap_version = 1;
-  // Crash observability on every exit path. Runs post-join (no concurrent
-  // strand mutates the tallies), so no lock is needed.
-  auto record_crashes = [&]() {
-    if (place_crashes == 0) return;
-    result.metrics["place_crashes"] = place_crashes;
-    result.metrics["cache_evicted_by_crash_blocks"] = crash_evicted_blocks;
-    result.metrics["recovered_map_tasks"] = recovered_map_tasks_total;
-    result.metrics["membership_epoch"] =
-        static_cast<int64_t>(membership.epoch());
-    result.metrics["partition_map_version"] =
-        static_cast<int64_t>(pmap_version);
-  };
+  ctx.owns_output = true;
+  return Status::OK();
+}
 
-  auto fail_job = [&](Status status) {
-    if (!temporary) {
-      api::FileOutputCommitter committer;
-      committer.AbortJob(conf, *fs_);
-      fs_->Delete(conf.OutputPath(), true);
-    } else {
-      cache_.Delete(conf.OutputPath());
+bool M3REngine::ServeReusedOutput(JobContext& ctx) {
+  const std::string out = path::Canonicalize(ctx.conf.OutputPath());
+  std::optional<std::string> src = cache_manager_->LookupReuse(ctx.lineage_sig);
+  if (!src) return false;
+  // Identical output path: the cached output is already in place.
+  if (*src == out) return true;
+  if (!ctx.temporary || fs_->Exists(out)) return false;
+  // Same lineage under a new temporary name: clone the registered output's
+  // cached blocks to the new path. Lease the source directory for the whole
+  // clone so the background evictor cannot claim one of its files between
+  // LookupReuse and the copy.
+  memgov::CacheManager::ReadLease reuse_lease = cache_.LeaseRead(*src);
+  for (const std::string& f : cache_.FilesUnder(*src)) {
+    auto blocks_or = cache_.GetFileBlocks(f);
+    Status st = blocks_or.status();
+    const std::string dst = out + f.substr(src->size());
+    for (size_t b = 0; st.ok() && b < blocks_or->size(); ++b) {
+      const Cache::Block& block = (*blocks_or)[b];
+      if (block.pairs == nullptr) continue;
+      st = cache_.PutBlock(dst, block.info.name, block.info.place,
+                           *block.pairs, block.bytes, /*fill_seconds=*/0.0,
+                           /*droppable=*/false, block.info.whole_file);
+      if (!st.ok()) {
+        M3R_LOG(Warn) << "reuse clone of " << f
+                      << " failed: " << st.ToString();
+      }
     }
-    if (fault != nullptr) {
-      result.metrics["injected_faults"] = fault->InjectedCount();
+    if (!st.ok()) {
+      cache_.Delete(out);
+      return false;
     }
-    record_crashes();
-    record_integrity();
-    record_memgov();
-    result.status = std::move(status);
-    result.wall_seconds = wall.ElapsedSeconds();
-    NotifyJobEnd(conf, result);
-    return result;
-  };
+  }
+  return true;
+}
 
-  // Heal checkpointed temporary inputs whose cached blocks are gone (a
-  // fresh instance, a place crash evicted part of a file — or the memory
-  // governor spilled it, which lands in the same checkpoint layout even
-  // with checkpointing otherwise off).
-  if (ckpt_policy != "off" || governor_.governed()) {
-    for (const std::string& in : conf.InputPaths()) {
+Status M3REngine::HealInputs(JobContext& ctx, double* heal_seconds) {
+  // Checkpointed temporary inputs whose cached blocks are gone (a fresh
+  // instance, a place crash evicted part of a file — or the memory governor
+  // spilled it, which lands in the same checkpoint layout even with
+  // checkpointing otherwise off) come back block by block.
+  if (ctx.checkpoint_tempout || governor_.governed()) {
+    uint64_t restored_bytes = 0;
+    for (const std::string& in : ctx.conf.InputPaths()) {
       // Demoted cache-only inputs come back from the L2 tier first (a
-      // memory move, no DFS read); the checkpoint fills whatever the tier
-      // no longer holds. Without the promote, a demoted file would trip
-      // the manifest-completeness check below as a false DataLoss.
+      // memory move, or one network hop from a surviving shard); the
+      // checkpoint fills whatever the tier no longer holds. Without the
+      // promote, a demoted file would trip the manifest-completeness check
+      // below as a false DataLoss.
+      uint64_t promoted_bytes = 0;
       tiered_->PromoteUnder(path::Canonicalize(in), /*only_unbacked=*/true,
-                            nullptr);
+                            &promoted_bytes);
+      if (heal_seconds != nullptr && promoted_bytes > 0) {
+        *heal_seconds += cost_.L2Read(promoted_bytes, /*local=*/false);
+      }
       Status st = RestoreDirFromCheckpoint(in, /*only_missing=*/true,
-                                           nullptr, nullptr, integrity.get());
+                                           nullptr, &restored_bytes,
+                                           ctx.integrity.get());
       if (!st.ok()) {
         M3R_LOG(Warn) << "checkpoint heal of " << in
                       << " failed: " << st.ToString();
       }
     }
-  }
-
-  // Cache-only inputs must be complete: a committed temp directory's
-  // manifest says which files (and how many bytes) the producer published.
-  // Anything still short after the heal above is unrecoverable — fail with
-  // a retriable DataLoss rather than silently computing on the survivors.
-  if (options_.enable_cache) {
-    for (const std::string& in : conf.InputPaths()) {
-      std::vector<std::string> missing =
-          cache_.ManifestMissing(path::Canonicalize(in));
-      if (!missing.empty()) {
-        std::string what;
-        for (const std::string& m : missing) {
-          if (!what.empty()) what += ", ";
-          what += m;
-        }
-        return fail_job(Status::DataLoss(
-            "cache-only input '" + in + "' is incomplete: " + what));
-      }
+    if (heal_seconds != nullptr && restored_bytes > 0) {
+      *heal_seconds += cost_.DfsRead(restored_bytes, /*local=*/false);
     }
   }
+  // Cache-only inputs must be complete: a committed temp directory's
+  // manifest says which files (and how many bytes) the producer published.
+  // Anything still short after the heal is unrecoverable — fail with a
+  // retriable DataLoss rather than silently computing on the survivors.
+  if (options_.enable_cache) {
+    for (const std::string& in : ctx.conf.InputPaths()) {
+      std::vector<std::string> missing =
+          cache_.ManifestMissing(path::Canonicalize(in));
+      if (missing.empty()) continue;
+      std::string what;
+      for (const std::string& m : missing) {
+        if (!what.empty()) what += ", ";
+        what += m;
+      }
+      return Status::DataLoss("cache-only input '" + in +
+                              "' is incomplete: " + what);
+    }
+  }
+  return Status::OK();
+}
 
-  // --- Plan splits: cache lookups and placement ---
+Status M3REngine::Plan(JobContext& ctx) {
+  M3R_RETURN_NOT_OK(HealInputs(ctx, /*heal_seconds=*/nullptr));
+  const api::JobConf& conf = ctx.conf;
+  api::JobResult& result = ctx.result;
+  const int num_places = ctx.num_places;
+
+  // --- Splits: cache lookups and placement ---
   auto input_format = api::MakeInputFormat(conf);
-  auto splits_or = input_format->GetSplits(conf, *fs_, spec.total_slots());
-  if (!splits_or.ok()) return fail_job(splits_or.status());
-  std::vector<api::InputSplitPtr> splits = splits_or.take();
-
-  std::vector<TaskPlan> tasks(splits.size());
+  M3R_ASSIGN_OR_RETURN(
+      std::vector<api::InputSplitPtr> splits,
+      input_format->GetSplits(conf, *fs_, options_.cluster.total_slots()));
+  std::vector<TaskPlan>& tasks = ctx.tasks;
+  tasks.resize(splits.size());
   int64_t cache_hits = 0;
   int64_t cache_misses = 0;
   // Files this job pulled back from the L2 tier (path -> crossed places):
@@ -1528,7 +1560,7 @@ api::JobResult M3REngine::SubmitImpl(const api::JobConf& submitted_conf) {
           info->blocks[0].name == "0" && info->blocks[0].whole_file) {
         // Unwrap MultipleInputs' tagged splits etc.: exactly one split of
         // the file (the one starting at offset 0) serves the block.
-        const api::FileSplit* fsplit = FindFileSplit(*t.split);
+        const api::FileSplit* fsplit = FindSplit<api::FileSplit>(*t.split);
         bool is_first = fsplit == nullptr || fsplit->Start() == 0;
         t.cache_hit = true;
         t.whole_file_hit = is_first;
@@ -1552,12 +1584,12 @@ api::JobResult M3REngine::SubmitImpl(const api::JobConf& submitted_conf) {
     }
 
     auto locations = t.split->GetLocations();
-    if (const auto* placed = FindPlacedSplit(*t.split)) {
+    if (const auto* placed = FindSplit<api::PlacedSplit>(*t.split)) {
       // PlacedSplit overrides M3R's preference for local splits (§4.3).
       t.place = options_.partition_stability
                     ? StablePlaceOfPartition(placed->GetPlacedPartition(),
                                              num_places)
-                    : (placed->GetPlacedPartition() + salt) % num_places;
+                    : (placed->GetPlacedPartition() + ctx.salt) % num_places;
     } else if (t.cache_hit) {
       t.place = cache_.GetBlock(*t.cache_path, t.block_name)->info.place;
     } else if (!locations.empty()) {
@@ -1565,11 +1597,7 @@ api::JobResult M3REngine::SubmitImpl(const api::JobConf& submitted_conf) {
     } else {
       t.place = round_robin_++ % num_places;
     }
-    t.local_read =
-        t.cache_hit ||
-        std::find_if(locations.begin(), locations.end(), [&](int n) {
-          return n % num_places == t.place;
-        }) != locations.end();
+    t.local_read = ReadsLocally(t.cache_hit, locations, t.place, num_places);
   }
   result.metrics["map_tasks"] = static_cast<int64_t>(tasks.size());
   result.metrics["cache_hit_splits"] = cache_hits;
@@ -1582,1076 +1610,976 @@ api::JobResult M3REngine::SubmitImpl(const api::JobConf& submitted_conf) {
                             api::counters::kCacheHits, cache_hits);
   result.counters.Increment(api::counters::kM3rGroup,
                             api::counters::kCacheMisses, cache_misses);
-
-  // Group tasks by place.
-  std::vector<std::vector<size_t>> tasks_of_place(
-      static_cast<size_t>(num_places));
+  ctx.tasks_of_place.assign(static_cast<size_t>(num_places), {});
   for (size_t i = 0; i < tasks.size(); ++i) {
-    tasks_of_place[static_cast<size_t>(tasks[i].place)].push_back(i);
+    ctx.tasks_of_place[static_cast<size_t>(tasks[i].place)].push_back(i);
   }
 
   // Intra-place worker strands (the paper's "8 worker threads to exploit
   // the 8 cores"): a per-job override, else the engine option, else
   // hardware threads spread across the places.
-  int workers = static_cast<int>(
+  ctx.workers = static_cast<int>(
       conf.GetInt(api::conf::kPlaceWorkers, options_.workers_per_place));
-  if (workers <= 0) {
+  if (ctx.workers <= 0) {
     int hw = static_cast<int>(std::thread::hardware_concurrency());
-    workers = std::max(1, hw / std::max(num_places, 1));
+    ctx.workers = std::max(1, hw / std::max(num_places, 1));
   }
-  result.metrics["place_workers"] = workers;
+  result.metrics["place_workers"] = ctx.workers;
 
-  const int shuffle_partitions = std::max(num_reduce, 1);
+  // --- The job's shuffle exchange (DESIGN.md §15) ---
   ShuffleOptions shuffle_options;
-  shuffle_options.num_partitions = shuffle_partitions;
+  shuffle_options.num_partitions = std::max(ctx.num_reduce, 1);
   shuffle_options.dedup_mode = options_.dedup_mode;
   shuffle_options.partition_stability = options_.partition_stability;
-  shuffle_options.instability_salt = salt;
-  shuffle_options.workers_per_place = workers;
-  shuffle_options.fault = fault;
-  shuffle_options.integrity = integrity;
+  shuffle_options.instability_salt = ctx.salt;
+  shuffle_options.workers_per_place = ctx.workers;
+  shuffle_options.fault = ctx.fault;
+  shuffle_options.integrity = ctx.integrity;
   shuffle_options.buffer_pool = &buffer_pool_;
-
-  shuffle_options.flush_bytes = static_cast<size_t>(flush_bytes);
-  // Shuffle runs (DESIGN.md §15). Declared before the exchange (reverse
-  // destruction order): the run comparator and spill sink must outlive it.
-  CheckpointRunSpillSink run_spill_sink(
-      base_fs_.get(),
-      std::string(kCheckpointRoot) + "/_shuffle/job" + std::to_string(salt));
-  if (budget_mb > 0) {
-    shuffle_options.partition_budget_bytes =
-        static_cast<size_t>(budget_mb) << 20;
-    shuffle_options.spill_sink = &run_spill_sink;
+  shuffle_options.flush_bytes = ctx.flush_bytes;
+  ctx.run_spill_sink.emplace(base_fs_.get(),
+                             std::string(kCheckpointRoot) + "/_shuffle/job" +
+                                 std::to_string(ctx.salt));
+  if (ctx.partition_budget_bytes > 0) {
+    shuffle_options.partition_budget_bytes = ctx.partition_budget_bytes;
+    shuffle_options.spill_sink = &*ctx.run_spill_sink;
   }
   // Runs must sort exactly like the reduce-side SortPairs; the raw-byte
   // default keeps the prefix-cached kernel, anything else routes through
   // the job's comparator. Map-only jobs never sort.
-  serialize::RawComparatorPtr run_sort_cmp =
-      num_reduce > 0 ? api::SortComparator(conf) : nullptr;
-  sortkit::RawCompareFn run_cmp;
-  if (run_sort_cmp != nullptr && std::string_view(run_sort_cmp->Name()) !=
-                                     serialize::BytesComparator::kName) {
-    run_cmp = [&run_sort_cmp](std::string_view a, std::string_view b) {
-      return run_sort_cmp->Compare(a, b);
+  ctx.run_sort_cmp = ctx.num_reduce > 0 ? api::SortComparator(conf) : nullptr;
+  if (ctx.run_sort_cmp != nullptr &&
+      std::string_view(ctx.run_sort_cmp->Name()) !=
+          serialize::BytesComparator::kName) {
+    ctx.run_cmp = [cmp = ctx.run_sort_cmp.get()](std::string_view a,
+                                                 std::string_view b) {
+      return cmp->Compare(a, b);
     };
-    shuffle_options.run_comparator = &run_cmp;
+    shuffle_options.run_comparator = &ctx.run_cmp;
   }
   shuffle_options.resident_gauge = &shuffle_run_bytes_;
-  ShuffleExchange shuffle(num_places, shuffle_options);
+  ctx.shuffle.emplace(num_places, shuffle_options);
+  return Status::OK();
+}
 
-  // --- Map phase (places run in parallel; each place fans its tasks out
-  // over `workers` strands of the shared executor) ---
-  sync_memgov();
-  ReportProgress(conf, 0.05, &result.counters);
-  std::atomic<size_t> map_tasks_done{0};
-  std::atomic<bool> map_aborted{false};
-  std::atomic<bool> cancelled{false};
-  // Whole-place crash ("m3r.place" site or the scripted knob, keyed by
-  // place id): the place goes Suspect immediately — its strands stop
-  // taking work at the next task boundary — and the heavyweight teardown
-  // (cache eviction, reconcile, partition re-homing) runs exactly once per
-  // place, at the next quiesce point.
-  auto report_crash = [&](int place, Status st) {
-    if (!membership.Suspect(place, st.ToString())) return;
-    M3R_LOG(Warn) << "place " << place << " crashed: " << st.ToString();
-    std::lock_guard<std::mutex> lock(crash_mu);
-    ++place_crashes;
-    if (crash_status.ok()) crash_status = std::move(st);
-  };
-  auto place_alive = [&](int place) {
-    if (membership.IsSuspectOrDead(place)) return false;
-    if (fault == nullptr) return true;
-    Status st = fault->Check("m3r.place", std::to_string(place));
-    if (st.ok()) return true;
-    report_crash(place, std::move(st));
+void M3REngine::ReportCrash(JobContext& ctx, int place, Status st) {
+  if (!ctx.membership.Suspect(place, st.ToString())) return;
+  M3R_LOG(Warn) << "place " << place << " crashed: " << st.ToString();
+  std::lock_guard<std::mutex> lock(ctx.crash_mu);
+  ++ctx.place_crashes;
+  if (ctx.crash_status.ok()) ctx.crash_status = std::move(st);
+}
+
+bool M3REngine::PlaceAlive(JobContext& ctx, int place) {
+  if (ctx.membership.IsSuspectOrDead(place)) return false;
+  if (ctx.fault == nullptr) return true;
+  Status st = ctx.fault->Check("m3r.place", std::to_string(place));
+  if (st.ok()) return true;
+  ReportCrash(ctx, place, std::move(st));
+  return false;
+}
+
+bool M3REngine::ScriptedCrash(JobContext& ctx, int place) {
+  if (ctx.crash_script.empty()) return false;
+  auto it = ctx.crash_script.find(place);
+  if (it == ctx.crash_script.end()) return false;
+  if (ctx.place_attempts[static_cast<size_t>(place)].fetch_add(
+          1, std::memory_order_relaxed) < it->second) {
     return false;
-  };
-  // Scripted mid-map crash points: the per-place counter ticks once per
-  // task this place starts, so "P:N" kills it between its N-th and
-  // (N+1)-th task — deterministic mid-phase timing whatever the strand
-  // interleaving (exactly N tasks begin before the place dies).
-  std::vector<std::atomic<int>> place_attempts(
-      static_cast<size_t>(num_places));
-  auto scripted_crash_check = [&](int place) {
-    if (crash_script.empty()) return false;
-    auto it = crash_script.find(place);
-    if (it == crash_script.end()) return false;
-    if (place_attempts[static_cast<size_t>(place)].fetch_add(
-            1, std::memory_order_relaxed) < it->second) {
-      return false;
+  }
+  ReportCrash(ctx, place,
+              Status::Unavailable("scripted crash of place " +
+                                  std::to_string(place)));
+  return true;
+}
+
+std::vector<int> M3REngine::ConfirmAndTeardown(JobContext& ctx) {
+  std::vector<int> newly_dead = ctx.membership.ConfirmDeaths();
+  if (newly_dead.empty()) return newly_dead;
+  int64_t evicted = 0;
+  for (int d : newly_dead) {
+    int64_t e = cache_.store().EvictPlace(d);
+    evicted += e;
+    M3R_LOG(Warn) << "place " << d << " confirmed dead: evicted " << e
+                  << " cache blocks";
+  }
+  // EvictPlace bypasses the manager's per-file notifications; re-derive
+  // the entry table and resident bytes from what actually survived.
+  cache_manager_->Reconcile(
+      [this](const std::string& p) { return cache_.FileBytes(p); });
+  // Ring heal (DESIGN.md §16): the dead places' L2 shards died with
+  // them — hand their hash ranges to the survivors and drop the lost
+  // entries; the data heals lazily from DFS/checkpoint on first touch.
+  tiered_->RingHeal(newly_dead);
+  ctx.crash_evicted_blocks += evicted;
+  ctx.result.counters.Increment(api::counters::kM3rGroup,
+                                api::counters::kPlaceCrashes,
+                                static_cast<int64_t>(newly_dead.size()));
+  ctx.result.counters.Increment(api::counters::kM3rGroup,
+                                api::counters::kCacheEvictedByCrashBlocks,
+                                evicted);
+  return newly_dead;
+}
+
+void M3REngine::RunMapTask(JobContext& ctx, size_t i, int place, int lane,
+                           api::OutputCollector* lane_hasher) {
+  const api::JobConf& conf = ctx.conf;
+  TaskPlan& t = ctx.tasks[i];
+  if (ctx.fault != nullptr) {
+    t.status = ctx.fault->Check("m3r.map", std::to_string(i));
+    if (!t.status.ok()) return;
+  }
+  CpuStopwatch sw;
+  const api::InputSplit* base_split = nullptr;
+  JobConf tconf = api::SpecializeConfForSplit(conf, *t.split, &base_split);
+  bool immutable = options_.respect_immutable && MapOutputImmutable(tconf);
+
+  // 1. Obtain the split's pair sequence (cache or RecordReader).
+  kvstore::KVSeqPtr pairs;
+  if (t.empty_hit) {
+    pairs = std::make_shared<const KVSeq>();
+  } else if (t.cache_hit) {
+    std::optional<Cache::Block> block =
+        cache_.GetBlock(*t.cache_path, t.block_name);
+    if (!block) {
+      // Evicted between planning and execution (e.g. a sibling block
+      // of the path failed its check); retriable at job granularity.
+      t.status = Status::DataLoss("cache block evicted: " + *t.cache_path +
+                                  "#" + t.block_name);
+      return;
     }
-    report_crash(place,
-                 Status::Unavailable("scripted crash of place " +
-                                     std::to_string(place)));
-    return true;
-  };
-  // Quiesce-point teardown: confirm every suspect dead (one epoch bump per
-  // batch), evict exactly the dead places' cache blocks, and reconcile the
-  // cache manager once for the batch.
-  auto confirm_and_teardown = [&]() {
-    std::vector<int> newly_dead = membership.ConfirmDeaths();
-    if (newly_dead.empty()) return newly_dead;
-    int64_t evicted = 0;
-    for (int d : newly_dead) {
-      int64_t e = cache_.store().EvictPlace(d);
-      evicted += e;
-      M3R_LOG(Warn) << "place " << d << " confirmed dead: evicted " << e
-                    << " cache blocks";
+    // Verify the fill-time fingerprint before serving; an unrepairable
+    // mismatch evicts the path and fails the job with DataLoss, and the
+    // retried job re-reads the DFS.
+    t.status = cache_.CheckBlock(*t.cache_path, *block);
+    if (!t.status.ok()) return;
+    pairs = block->pairs;
+  } else {
+    Stopwatch fill_sw;
+    Result<KVSeq> seq_or = ReadSplit(*base_split, tconf, *fs_);
+    if (!seq_or.ok()) {
+      t.status = seq_or.status();
+      return;
     }
-    // EvictPlace bypasses the manager's per-file notifications; re-derive
-    // the entry table and resident bytes from what actually survived.
-    cache_manager_->Reconcile(
-        [this](const std::string& p) { return cache_.FileBytes(p); });
-    // Ring heal (DESIGN.md §16): the dead places' L2 shards died with
-    // them — hand their hash ranges to the survivors and drop the lost
-    // entries; the data heals lazily from DFS/checkpoint on first touch.
-    tiered_->RingHeal(newly_dead);
-    crash_evicted_blocks += evicted;
-    result.counters.Increment(api::counters::kM3rGroup,
-                              api::counters::kPlaceCrashes,
-                              static_cast<int64_t>(newly_dead.size()));
-    result.counters.Increment(api::counters::kM3rGroup,
-                              api::counters::kCacheEvictedByCrashBlocks,
-                              evicted);
-    return newly_dead;
-  };
+    auto owned = std::make_shared<const KVSeq>(seq_or.take());
+    if (options_.enable_cache && t.cache_path) {
+      // Droppable: the split is DFS-backed, so a budget-constrained
+      // admission may bypass the cache and the next job re-reads it.
+      t.status = cache_.PutBlock(*t.cache_path, t.block_name, place, *owned,
+                                 t.input_bytes, fill_sw.ElapsedSeconds(),
+                                 /*droppable=*/true);
+      if (!t.status.ok()) return;
+    }
+    pairs = owned;
+  }
+
+  // 2. Run the mapper.
+  TaskCounters counters(&ctx.result.counters);
+  api::Reporter& reporter = counters.reporter();
+  const int num_reduce = ctx.num_reduce;
+  if (lane_hasher != nullptr) {
+    // Map-side hash aggregation: the lane's persistent table folds values
+    // at emit time across every task this strand runs, and only the folded
+    // pairs reach the shuffle (drained once, at end of the map phase).
+    // Everything it forwards is freshly deserialized, so the shuffle
+    // aliases it regardless of the mapper's immutability.
+    t.status = FeedMapper(tconf, *pairs, *lane_hasher, reporter);
+  } else if (num_reduce > 0 && tconf.HasCombiner()) {
+    auto partitioner = api::MakePartitioner(tconf);
+    bool combiner_immutable =
+        options_.respect_immutable &&
+        ReducerOutputImmutable(tconf, tconf.UsesNewApiCombiner(),
+                               api::conf::kMapreduceCombiner,
+                               api::conf::kMapredCombiner);
+    CombiningShuffleCollector collector(
+        tconf, &*ctx.shuffle, partitioner.get(), place, lane, num_reduce,
+        immutable, combiner_immutable, &reporter);
+    t.status = FeedMapper(tconf, *pairs, collector, reporter);
+    if (t.status.ok()) t.status = collector.Flush();
+  } else if (num_reduce > 0) {
+    auto partitioner = api::MakePartitioner(tconf);
+    ShuffleCollector collector(&*ctx.shuffle, partitioner.get(), place, lane,
+                               num_reduce, immutable, &reporter);
+    t.status = FeedMapper(tconf, *pairs, collector, reporter);
+  } else {
+    // Map-only: mapper output goes straight to the job output.
+    t.status = WriteTaskOutput(
+        ctx, static_cast<int>(i), place, immutable,
+        api::counters::kMapOutputRecords, reporter, sw,
+        [&](api::OutputCollector& out) {
+          return FeedMapper(tconf, *pairs, out, reporter);
+        },
+        &t.output_bytes);
+    if (!t.status.ok()) return;
+  }
+  t.cpu_seconds = sw.ElapsedSeconds();
+  ctx.task_done[i] = 1;
+  ctx.membership.Heartbeat(place);
+  size_t done = ++ctx.map_tasks_done;
+  PublishMemgov(ctx, /*final=*/false);
+  counters.Merge();  // the progress snapshot includes this task
+  ReportProgress(conf, MapProgress(done, ctx.tasks.size()),
+                 &ctx.result.counters);
+}
+
+Status M3REngine::WriteTaskOutput(
+    JobContext& ctx, int index, int place, bool immutable,
+    const char* records_counter, api::Reporter& reporter,
+    const CpuStopwatch& sw,
+    const std::function<Status(api::OutputCollector&)>& produce,
+    uint64_t* output_bytes) {
+  const api::JobConf& conf = ctx.conf;
+  std::unique_ptr<api::RecordWriter> writer;
+  if (!ctx.temporary) {
+    M3R_ASSIGN_OR_RETURN(
+        writer, ctx.output_format->GetRecordWriter(
+                    conf, *fs_,
+                    api::file_output::TempPath(conf, index, /*attempt=*/0),
+                    place));
+  }
+  M3RNamedOutputSink named_sink(conf, *fs_, &cache_, index, place,
+                                ctx.temporary);
+  api::ScopedNamedOutputSink scoped(&named_sink);
+  OutputSeqCollector collector(immutable, writer.get(), &reporter,
+                               records_counter);
+  M3R_RETURN_NOT_OK(produce(collector));
+  if (writer != nullptr) {
+    M3R_RETURN_NOT_OK(writer->Close());
+    *output_bytes = writer->BytesWritten();
+    api::FileOutputCommitter committer;
+    M3R_RETURN_NOT_OK(committer.CommitTask(conf, *fs_, index, /*attempt=*/0));
+  }
+  uint64_t named_bytes = 0;
+  M3R_RETURN_NOT_OK(named_sink.Finish(&named_bytes));
+  *output_bytes += named_bytes;
+  // Cache the task's output at this place — the key move that makes the
+  // next job's input land here again (§3.2.2.2).
+  if (!options_.enable_cache) return Status::OK();
+  return cache_.PutBlock(api::file_output::FinalPath(conf, index), "0", place,
+                         collector.TakeSeq(), collector.bytes(),
+                         sw.ElapsedSeconds(), /*droppable=*/!ctx.temporary,
+                         /*whole_file=*/true);
+}
+
+void M3REngine::RunMapStrand(JobContext& ctx, int place, size_t strand,
+                             size_t strands) {
+  const std::vector<size_t>& mine =
+      ctx.tasks_of_place[static_cast<size_t>(place)];
+  // Lane-persistent hash aggregation (the in-node combiner): one table
+  // lives across every map task this strand runs, so a key repeated in
+  // different splits of the place still collapses to one wire record —
+  // scope no per-task (or per-spill) combiner can reach. Each strand owns
+  // its lane's serialization stream, so the table drains into a
+  // single-writer lane and wire bytes stay deterministic. A replay round
+  // gets fresh tables, so a recovered job may carry more than one partial
+  // aggregate per key — the combiner contract (run 0+ times over any
+  // subset) already promises that is legal. The lane's counters outlive
+  // its sink and table (declared first, destroyed last), so their final
+  // tallies land before the merge.
+  std::optional<TaskCounters> lane_counters;
+  std::shared_ptr<api::Partitioner> lane_partitioner;
+  std::unique_ptr<ShuffleCollector> lane_sink;
+  std::unique_ptr<api::HashCombineCollector> lane_hasher;
+  if (ctx.lane_hash_combine) {
+    lane_counters.emplace(&ctx.result.counters);
+    lane_partitioner = api::MakePartitioner(ctx.conf);
+    lane_sink = std::make_unique<ShuffleCollector>(
+        &*ctx.shuffle, lane_partitioner.get(), place,
+        static_cast<int>(strand), ctx.num_reduce, /*immutable=*/true,
+        &lane_counters->reporter());
+    lane_hasher = std::make_unique<api::HashCombineCollector>(
+        ctx.conf, lane_sink.get(), &lane_counters->reporter(),
+        &hash_combine_bytes_);
+  }
+  for (size_t j = strand; j < mine.size(); j += strands) {
+    if (ctx.map_aborted.load(std::memory_order_relaxed)) return;
+    if (CancelRequested()) {
+      ctx.cancelled.store(true, std::memory_order_relaxed);
+      ctx.map_aborted.store(true);
+      return;
+    }
+    if (ctx.membership.IsSuspectOrDead(place)) return;
+    if (ScriptedCrash(ctx, place)) {
+      if (ctx.CrashBudgetSpent()) ctx.map_aborted.store(true);
+      return;
+    }
+    RunMapTask(ctx, mine[j], place, static_cast<int>(strand),
+               lane_hasher.get());
+    if (!ctx.tasks[mine[j]].status.ok()) ctx.map_aborted.store(true);
+  }
+  // Survivors MUST drain their tables even when another place died this
+  // round: their buffered pairs feed lanes that will be delivered. A
+  // suspect place's drain would be discarded at quiesce anyway; skip it.
+  if (lane_hasher != nullptr &&
+      !ctx.map_aborted.load(std::memory_order_relaxed) &&
+      !ctx.membership.IsSuspectOrDead(place)) {
+    Status st = lane_hasher->Flush();
+    if (!st.ok()) {
+      ctx.map_aborted.store(true);
+      std::lock_guard<std::mutex> lock(ctx.hash_mu);
+      if (ctx.hash_status.ok()) ctx.hash_status = std::move(st);
+    }
+  }
+}
+
+Status M3REngine::MapRounds(JobContext& ctx) {
+  const api::JobConf& conf = ctx.conf;
+  const sim::ClusterSpec& spec = options_.cluster;
+  api::JobResult& result = ctx.result;
+  std::vector<TaskPlan>& tasks = ctx.tasks;
+  PublishMemgov(ctx, /*final=*/false);
+  ReportProgress(conf, 0.05, &result.counters);
   // Map-side hash aggregation (decided at job scope: combiner, map-output
   // types, and grouping comparator are job-level settings, so per-split
-  // conf specialization cannot change eligibility). The collector is
-  // lane-persistent — see run_strand below.
-  const bool lane_hash_combine =
-      num_reduce > 0 && conf.GetBool(api::conf::kMapHashCombine, false) &&
+  // conf specialization cannot change eligibility).
+  ctx.lane_hash_combine =
+      ctx.num_reduce > 0 && conf.GetBool(api::conf::kMapHashCombine, false) &&
       api::HashCombineCollector::Eligible(conf);
-  std::mutex hash_mu;
-  Status hash_status;
-  // Per-task completion, read at quiesce points (after the round's join)
-  // to tell lost-and-replayable work from never-started work. Each index is
-  // written by exactly one strand per round.
-  std::vector<char> task_done(tasks.size(), 0);
-  auto run_map_task = [&](size_t i, int place, int lane,
-                          api::HashCombineCollector* lane_hasher) {
-      TaskPlan& t = tasks[i];
-      if (fault != nullptr) {
-        t.status = fault->Check("m3r.map", std::to_string(i));
-        if (!t.status.ok()) return;
-      }
-      CpuStopwatch sw;
-      const api::InputSplit* base_split = nullptr;
-      JobConf tconf = api::SpecializeConfForSplit(conf, *t.split,
-                                                  &base_split);
-      bool immutable =
-          options_.respect_immutable && MapOutputImmutable(tconf);
-
-      // 1. Obtain the split's pair sequence (cache or RecordReader).
-      kvstore::KVSeqPtr pairs;
-      if (t.empty_hit) {
-        pairs = std::make_shared<const KVSeq>();
-      } else if (t.cache_hit) {
-        std::optional<Cache::Block> block =
-            cache_.GetBlock(*t.cache_path, t.block_name);
-        if (!block) {
-          // Evicted between planning and execution (e.g. a sibling block
-          // of the path failed its check); retriable at job granularity.
-          t.status = Status::DataLoss("cache block evicted: " +
-                                      *t.cache_path + "#" + t.block_name);
-          return;
-        }
-        // Verify the fill-time fingerprint before serving; an
-        // unrepairable mismatch evicts the path and fails the job with
-        // DataLoss, and the retried job re-reads the DFS.
-        t.status = cache_.CheckBlock(*t.cache_path, *block);
-        if (!t.status.ok()) return;
-        pairs = block->pairs;
-      } else {
-        Stopwatch fill_sw;
-        auto reader_or = api::MakeInputFormat(tconf)->GetRecordReader(
-            *base_split, tconf, *fs_);
-        if (!reader_or.ok()) {
-          t.status = reader_or.status();
-          return;
-        }
-        auto reader = reader_or.take();
-        KVSeq seq;
-        for (;;) {
-          WritablePtr k = reader->CreateKey();
-          WritablePtr v = reader->CreateValue();
-          if (!reader->Next(*k, *v)) break;
-          seq.emplace_back(std::move(k), std::move(v));
-        }
-        reader->Close();
-        auto owned = std::make_shared<const KVSeq>(std::move(seq));
-        if (options_.enable_cache && t.cache_path) {
-          // Droppable: the split is DFS-backed, so a budget-constrained
-          // admission may bypass the cache and the next job re-reads it.
-          t.status = cache_.PutBlock(*t.cache_path, t.block_name, place,
-                                     *owned, t.input_bytes,
-                                     fill_sw.ElapsedSeconds(),
-                                     /*droppable=*/true);
-          if (!t.status.ok()) return;
-        }
-        pairs = owned;
-      }
-
-      // 2. Run the mapper.
-      TaskCounters counters(&result.counters);
-      api::Reporter& reporter = counters.reporter();
-      if (lane_hasher != nullptr) {
-        // Map-side hash aggregation: the lane's persistent table folds
-        // values at emit time across every task this strand runs, and only
-        // the folded pairs reach the shuffle (drained once, at end of the
-        // map phase). Everything it forwards is freshly deserialized, so
-        // the shuffle aliases it regardless of the mapper's immutability.
-        t.status = FeedMapper(tconf, *pairs, *lane_hasher, reporter);
-      } else if (num_reduce > 0 && tconf.HasCombiner()) {
-        auto partitioner = api::MakePartitioner(tconf);
-        bool combiner_immutable =
-            options_.respect_immutable && CombineOutputImmutable(tconf);
-        CombiningShuffleCollector collector(tconf, &shuffle,
-                                            partitioner.get(), place, lane,
-                                            num_reduce, immutable,
-                                            combiner_immutable, &reporter);
-        t.status = FeedMapper(tconf, *pairs, collector, reporter);
-        if (t.status.ok()) t.status = collector.Flush();
-      } else if (num_reduce > 0) {
-        auto partitioner = api::MakePartitioner(tconf);
-        ShuffleCollector collector(&shuffle, partitioner.get(), place, lane,
-                                   num_reduce, immutable, &reporter);
-        t.status = FeedMapper(tconf, *pairs, collector, reporter);
-      } else {
-        // Map-only: mapper output goes straight to the job output.
-        std::unique_ptr<api::RecordWriter> writer;
-        if (!temporary) {
-          std::string temp_path = api::file_output::TempPath(
-              conf, static_cast<int>(i), /*attempt=*/0);
-          auto writer_or =
-              output_format->GetRecordWriter(conf, *fs_, temp_path, place);
-          if (!writer_or.ok()) {
-            t.status = writer_or.status();
-            return;
-          }
-          writer = writer_or.take();
-        }
-        M3RNamedOutputSink named_sink(conf, *fs_, &cache_,
-                                      static_cast<int>(i), place, temporary);
-        api::ScopedNamedOutputSink scoped(&named_sink);
-        OutputSeqCollector collector(immutable, writer.get(), &reporter,
-                                     api::counters::kMapOutputRecords);
-        t.status = FeedMapper(tconf, *pairs, collector, reporter);
-        if (!t.status.ok()) return;
-        if (writer != nullptr) {
-          t.status = writer->Close();
-          if (!t.status.ok()) return;
-          t.output_bytes = writer->BytesWritten();
-          api::FileOutputCommitter committer;
-          t.status = committer.CommitTask(conf, *fs_, static_cast<int>(i),
-                                          /*attempt=*/0);
-          if (!t.status.ok()) return;
-        }
-        uint64_t named_bytes = 0;
-        t.status = named_sink.Finish(&named_bytes);
-        if (!t.status.ok()) return;
-        t.output_bytes += named_bytes;
-        if (options_.enable_cache) {
-          std::string out_file = api::file_output::FinalPath(
-              conf, static_cast<int>(i));
-          OutputSeqCollector* c = &collector;
-          t.status = cache_.PutBlock(out_file, "0", place, c->TakeSeq(),
-                                     c->bytes(), sw.ElapsedSeconds(),
-                                     /*droppable=*/!temporary,
-                                     /*whole_file=*/true);
-          if (!t.status.ok()) return;
-        }
-      }
-      t.cpu_seconds = sw.ElapsedSeconds();
-      task_done[i] = 1;
-      membership.Heartbeat(place);
-      size_t done = ++map_tasks_done;
-      sync_memgov();
-      counters.Merge();  // the progress snapshot includes this task
-      ReportProgress(conf,
-                     0.05 + 0.55 * static_cast<double>(done) /
-                                static_cast<double>(std::max<size_t>(
-                                    tasks.size(), 1)),
-                     &result.counters);
-  };
-  const double t0 = spec.m3r_job_overhead_s;
-  int crashes_handled = 0;
-  double recovery_heal_seconds = 0;
-  Status recovery_abandoned;  // recovery gave up (lost data) mid-flight
+  ctx.task_done.assign(tasks.size(), 0);
+  Status abandoned;  // recovery gave up (lost data) mid-flight
   for (;;) {
+    // Places run in parallel; each fans its tasks out over `workers`
+    // strands of the shared executor. Strand s runs tasks j with
+    // j % strands == s and owns serialization lane s, so each remote
+    // stream has exactly one writer and wire bytes stay deterministic for
+    // a fixed worker count.
     places_.FinishForAll([&](int place) {
-      if (membership.IsSuspectOrDead(place)) return;
-      if (!place_alive(place)) {
-        if (!recovery_on) map_aborted.store(true);
+      if (ctx.membership.IsSuspectOrDead(place)) return;
+      if (!PlaceAlive(ctx, place)) {
+        // With the budget spent (0: no in-flight recovery) the job is
+        // already doomed, so the other places stop early.
+        if (ctx.CrashBudgetSpent()) ctx.map_aborted.store(true);
         return;
       }
-      const std::vector<size_t>& mine =
-          tasks_of_place[static_cast<size_t>(place)];
-      if (mine.empty()) return;
-      // Strand s runs tasks j with j % strands == s and owns serialization
-      // lane s, so each remote stream has exactly one writer and wire bytes
-      // stay deterministic for a fixed worker count.
-      const int strands =
-          static_cast<int>(std::min<size_t>(mine.size(),
-                                            static_cast<size_t>(workers)));
-      auto run_strand = [&](size_t s) {
-        // Lane-persistent hash aggregation (the in-node combiner): one table
-        // lives across every map task this strand runs, so a key repeated in
-        // different splits of the place still collapses to one wire record —
-        // scope no per-task (or per-spill) combiner can reach. Each strand
-        // owns its lane's serialization stream, so the table drains into a
-        // single-writer lane and wire bytes stay deterministic. A replay
-        // round gets fresh tables, so a recovered job may carry more than
-        // one partial aggregate per key — the combiner contract (run 0+
-        // times over any subset) already promises that is legal.
-        // The lane's counters outlive its sink and table (declared first,
-        // destroyed last), so their final tallies land before the merge.
-        std::optional<TaskCounters> lane_counters;
-        std::shared_ptr<api::Partitioner> lane_partitioner;
-        std::unique_ptr<ShuffleCollector> lane_sink;
-        std::unique_ptr<api::HashCombineCollector> lane_hasher;
-        if (lane_hash_combine) {
-          lane_counters.emplace(&result.counters);
-          lane_partitioner = api::MakePartitioner(conf);
-          lane_sink = std::make_unique<ShuffleCollector>(
-              &shuffle, lane_partitioner.get(), place, static_cast<int>(s),
-              num_reduce, /*immutable=*/true, &lane_counters->reporter());
-          lane_hasher = std::make_unique<api::HashCombineCollector>(
-              conf, lane_sink.get(), &lane_counters->reporter(),
-              &hash_combine_bytes_);
-        }
-        for (size_t j = s; j < mine.size();
-             j += static_cast<size_t>(strands)) {
-          if (map_aborted.load(std::memory_order_relaxed)) return;
-          if (CancelRequested()) {
-            cancelled.store(true, std::memory_order_relaxed);
-            map_aborted.store(true);
-            return;
-          }
-          if (membership.IsSuspectOrDead(place)) return;
-          if (scripted_crash_check(place)) {
-            if (!recovery_on) map_aborted.store(true);
-            return;
-          }
-          run_map_task(mine[j], place, static_cast<int>(s),
-                       lane_hasher.get());
-          if (!tasks[mine[j]].status.ok()) map_aborted.store(true);
-        }
-        // Survivors MUST drain their tables even when another place died
-        // this round: their buffered pairs feed lanes that will be
-        // delivered. A suspect place's drain would be discarded at quiesce
-        // anyway; skip it.
-        if (lane_hasher != nullptr &&
-            !map_aborted.load(std::memory_order_relaxed) &&
-            !membership.IsSuspectOrDead(place)) {
-          Status st = lane_hasher->Flush();
-          if (!st.ok()) {
-            map_aborted.store(true);
-            std::lock_guard<std::mutex> lock(hash_mu);
-            if (hash_status.ok()) hash_status = std::move(st);
-          }
-        }
-      };
+      const size_t mine = ctx.tasks_of_place[static_cast<size_t>(place)].size();
+      if (mine == 0) return;
+      const size_t strands =
+          std::min(mine, static_cast<size_t>(ctx.workers));
       if (strands <= 1) {
-        run_strand(0);
+        RunMapStrand(ctx, place, 0, 1);
       } else {
-        places_.pool().ParallelFor(static_cast<size_t>(strands), run_strand);
+        places_.pool().ParallelFor(strands, [&](size_t s) {
+          RunMapStrand(ctx, place, s, strands);
+        });
       }
     });
 
     // --- Quiesce: the round's strands are all joined. Confirm deaths,
     // tear down once per dead place, and either recover (bounded replay,
     // DESIGN.md §14) or break to the failure paths below. ---
-    std::vector<int> newly_dead = confirm_and_teardown();
+    std::vector<int> newly_dead = ConfirmAndTeardown(ctx);
     if (newly_dead.empty()) break;  // crash-free round: the phase is done
-    crashes_handled += static_cast<int>(newly_dead.size());
-    std::vector<int> alive = membership.AlivePlaces();
-    sync_memgov();
-    if (!recovery_on || crashes_handled > max_crashes || alive.empty() ||
-        map_aborted.load() || cancelled.load()) {
-      // Recovery off, budget exhausted, nobody left, or the job is failing
-      // for its own reasons — fall back to the whole-job retriable failure.
+    ctx.crashes_handled += static_cast<int>(newly_dead.size());
+    std::vector<int> alive = ctx.membership.AlivePlaces();
+    PublishMemgov(ctx, /*final=*/false);
+    if (ctx.crashes_handled > ctx.max_crashes || alive.empty() ||
+        ctx.map_aborted.load() || ctx.cancelled.load()) {
+      // Budget exhausted, nobody left, or the job is failing for its own
+      // reasons — fall back to the whole-job retriable failure.
       break;
     }
-
-    // Re-home the dead places' partitions and lanes onto the survivors
-    // (partition-map version bump; orphan lanes delivered at the barrier).
-    if (num_reduce > 0) {
-      ShuffleExchange::RecoveryStats rs =
-          shuffle.DropDeadPlaces(newly_dead, alive);
-      pmap_version = shuffle.map_version();
-      M3R_LOG(Warn) << "recovery: re-homed " << rs.rehomed_partitions
-                    << " partitions, dropped " << rs.dropped_local_pairs
-                    << " pre-barrier pairs, " << rs.dropped_lanes
-                    << " dead lanes and " << rs.dropped_runs
-                    << " shipped runs (map v" << pmap_version << ")";
-    }
-
-    // Heal evicted inputs from the checkpoint (the PR 7 lease/heal path);
-    // the DFS reads are charged to the recovery span.
-    if (ckpt_policy != "off" || governor_.governed()) {
-      int healed_files = 0;
-      uint64_t healed_bytes = 0;
-      for (const std::string& in : conf.InputPaths()) {
-        // Surviving L2 shards heal first: a promotion is a memory move
-        // (or one network hop), charged well below the checkpoint's DFS
-        // re-read that covers whatever the dead shards took down.
-        uint64_t promoted_bytes = 0;
-        tiered_->PromoteUnder(path::Canonicalize(in), /*only_unbacked=*/true,
-                              &promoted_bytes);
-        if (promoted_bytes > 0) {
-          recovery_heal_seconds +=
-              cost_.L2Read(promoted_bytes, /*local=*/false);
-        }
-        Status st = RestoreDirFromCheckpoint(in, /*only_missing=*/true,
-                                             &healed_files, &healed_bytes,
-                                             integrity.get());
-        if (!st.ok()) {
-          M3R_LOG(Warn) << "recovery heal of " << in
-                        << " failed: " << st.ToString();
-        }
-      }
-      if (healed_bytes > 0) {
-        recovery_heal_seconds += cost_.DfsRead(healed_bytes, false);
-      }
-    }
-    // Cache-only inputs must still be complete after the heal; anything
-    // short is unrecoverable in-flight (same contract as job entry).
-    if (options_.enable_cache) {
-      for (const std::string& in : conf.InputPaths()) {
-        std::vector<std::string> missing =
-            cache_.ManifestMissing(path::Canonicalize(in));
-        if (!missing.empty()) {
-          recovery_abandoned = Status::DataLoss(
-              "place crash lost cache-only input '" + in + "': " +
-              missing.front());
-          break;
-        }
-      }
-    }
-
-    // Classify the dead places' tasks: never-started work is reassigned as
-    // normal work; completed work whose output died with the place (shuffle
-    // state, or a cache-only output) is replayed. Completed map-only tasks
-    // with materialized output keep their DFS files — never re-committed.
-    int64_t replayed_round = 0;
-    for (size_t i = 0; i < tasks.size() && recovery_abandoned.ok(); ++i) {
-      TaskPlan& t = tasks[i];
-      if (!std::binary_search(newly_dead.begin(), newly_dead.end(),
-                              t.place)) {
-        continue;
-      }
-      if (task_done[i]) {
-        if (num_reduce == 0 && !temporary) continue;
-        task_done[i] = 0;
-        t.replayed = true;
-        t.status = Status::OK();
-        t.output_bytes = 0;
-        map_tasks_done.fetch_sub(1, std::memory_order_relaxed);
-        ++replayed_round;
-      }
-      // Revalidate the cache plan: the dead place took its blocks with it.
-      // A DFS-backed split degrades to a re-read; a cache-only block that
-      // the heal could not restore is lost for good.
-      if (t.cache_hit && !cache_.GetBlock(*t.cache_path, t.block_name)) {
-        if (t.whole_file_hit || t.empty_hit ||
-            !base_fs_->Exists(*t.cache_path)) {
-          recovery_abandoned = Status::DataLoss(
-              "place crash lost cached input block " + *t.cache_path + "#" +
-              t.block_name);
-          break;
-        }
-        t.cache_hit = false;
-        t.l2_hit = false;
-        t.block_name = Cache::BlockNameForSplit(*t.split);
-      }
-      // Re-plan onto a survivor: partitioned splits follow the re-homed
-      // partition map (stability within the new epoch); everything else
-      // keeps its planning preference, deterministically re-hashed onto
-      // the alive list when the preferred place died.
-      auto locations = t.split->GetLocations();
-      int pref;
-      if (const auto* placed = FindPlacedSplit(*t.split)) {
-        const int part = placed->GetPlacedPartition();
-        pref = num_reduce > 0 && part >= 0 && part < shuffle_partitions
-                   ? shuffle.PlaceOfPartition(part)
-                   : (options_.partition_stability
-                          ? StablePlaceOfPartition(part, num_places)
-                          : (part + salt) % num_places);
-      } else if (t.cache_hit) {
-        pref = cache_.GetBlock(*t.cache_path, t.block_name)->info.place;
-      } else if (!locations.empty()) {
-        pref = locations[0] % num_places;
-      } else {
-        pref = alive[i % alive.size()];
-      }
-      if (membership.IsSuspectOrDead(pref)) {
-        pref = alive[static_cast<size_t>(pref) % alive.size()];
-      }
-      t.place = pref;
-      t.local_read =
-          t.cache_hit ||
-          std::find_if(locations.begin(), locations.end(), [&](int n) {
-            return n % num_places == t.place;
-          }) != locations.end();
-    }
-    if (!recovery_abandoned.ok()) break;
-
-    recovered_map_tasks_total += replayed_round;
-    result.counters.Increment(api::counters::kM3rGroup,
-                              api::counters::kRecoveredMapTasks,
-                              replayed_round);
-    // This crash is handled; clear the verdict so a later crash (next
-    // round, or mid-reduce) is judged on its own.
-    {
-      std::lock_guard<std::mutex> lock(crash_mu);
-      crash_status = Status::OK();
-    }
-    // Next round runs exactly the not-done work (all of it re-planned onto
-    // survivors — a finished round leaves nothing pending anywhere else).
-    for (auto& v : tasks_of_place) v.clear();
-    for (size_t i = 0; i < tasks.size(); ++i) {
-      if (!task_done[i]) {
-        tasks_of_place[static_cast<size_t>(tasks[i].place)].push_back(i);
-      }
-    }
-    ReportProgress(conf,
-                   0.05 + 0.55 * static_cast<double>(map_tasks_done.load()) /
-                              static_cast<double>(std::max<size_t>(
-                                  tasks.size(), 1)),
-                   &result.counters);
+    abandoned = ReplanLostTasks(ctx, newly_dead, alive);
+    if (!abandoned.ok()) break;
   }
 
   Status map_crash;
   {
-    std::lock_guard<std::mutex> lock(crash_mu);
-    map_crash = crash_status;
+    std::lock_guard<std::mutex> lock(ctx.crash_mu);
+    map_crash = ctx.crash_status;
   }
   if (!map_crash.ok()) {
-    // Unrecovered crash (recovery off, horizon passed, or data loss): the
+    // Unrecovered crash (budget spent, horizon passed, or data loss): the
     // whole-job retriable failure, charging the work that did complete so
     // the failed attempt has an honest simulated cost.
-    sim::SlotTimeline part_tl(spec, t0);
+    sim::SlotTimeline part_tl(spec, ctx.t0);
     for (size_t i = 0; i < tasks.size(); ++i) {
-      if (!task_done[i]) continue;
-      const TaskPlan& t = tasks[i];
-      double d = t.cpu_seconds * spec.data_scale;
-      if (!t.cache_hit) d += cost_.DfsRead(t.input_bytes, t.local_read);
-      else if (t.l2_hit) d += cost_.L2Read(t.input_bytes, !t.l2_remote);
-      if (num_reduce == 0 && !temporary) d += cost_.DfsWrite(t.output_bytes);
-      part_tl.ScheduleOnNode(t.place, t0, d);
+      if (!ctx.task_done[i]) continue;
+      part_tl.ScheduleOnNode(tasks[i].place, ctx.t0,
+                             MapTaskSimSeconds(ctx, tasks[i]));
     }
-    result.time_breakdown["map_phase_partial"] = part_tl.Makespan() - t0;
-    result.sim_seconds = part_tl.Makespan() + recovery_heal_seconds;
-    return fail_job(recovery_abandoned.ok() ? std::move(map_crash)
-                                            : std::move(recovery_abandoned));
+    result.time_breakdown["map_phase_partial"] = part_tl.Makespan() - ctx.t0;
+    result.sim_seconds = part_tl.Makespan() + ctx.recovery_heal_seconds;
+    return abandoned.ok() ? map_crash : abandoned;
   }
-  if (cancelled.load()) return fail_job(Status::Cancelled("job cancelled"));
+  if (ctx.cancelled.load()) return Status::Cancelled("job cancelled");
   for (const TaskPlan& t : tasks) {
-    if (!t.status.ok()) return fail_job(t.status);
+    M3R_RETURN_NOT_OK(t.status);
   }
   {
-    std::lock_guard<std::mutex> lock(hash_mu);
-    if (!hash_status.ok()) return fail_job(hash_status);
+    std::lock_guard<std::mutex> lock(ctx.hash_mu);
+    M3R_RETURN_NOT_OK(ctx.hash_status);
   }
 
   // --- Simulated map phase time ---
   result.metrics["hdfs_read_bytes"] = 0;
   result.metrics["hdfs_write_bytes"] = 0;
-  sim::SlotTimeline map_tl(spec, t0);
-  int64_t replayed_tasks = 0;
+  sim::SlotTimeline map_tl(spec, ctx.t0);
   for (const TaskPlan& t : tasks) {
-    double d = t.cpu_seconds * spec.data_scale;
-    if (!t.cache_hit) d += cost_.DfsRead(t.input_bytes, t.local_read);
-    // L2-promoted splits pay the tier's memory/network cost, not a DFS
-    // re-read — the hierarchy the paper's in-memory thesis predicts.
-    else if (t.l2_hit) d += cost_.L2Read(t.input_bytes, !t.l2_remote);
-    if (num_reduce == 0 && !temporary) d += cost_.DfsWrite(t.output_bytes);
-    if (t.replayed) {
-      ++replayed_tasks;  // charged to the recovery span below
-    } else {
-      map_tl.ScheduleOnNode(t.place, t0, d);
+    // Replayed tasks are charged to the recovery span below.
+    if (!t.replayed) {
+      map_tl.ScheduleOnNode(t.place, ctx.t0, MapTaskSimSeconds(ctx, t));
     }
     if (!t.cache_hit) {
-      result.metrics["hdfs_read_bytes"] += static_cast<int64_t>(
-          t.input_bytes);
+      result.metrics["hdfs_read_bytes"] += static_cast<int64_t>(t.input_bytes);
       result.counters.Increment(api::counters::kFsGroup,
                                 api::counters::kHdfsBytesRead,
                                 static_cast<int64_t>(t.input_bytes));
     }
   }
-  double map_end = tasks.empty() ? t0 : map_tl.Makespan();
-  result.time_breakdown["map_phase"] = map_end - t0;
+  const double map_end = tasks.empty() ? ctx.t0 : map_tl.Makespan();
+  result.time_breakdown["map_phase"] = map_end - ctx.t0;
 
   // Replayed work runs after the crash-free portion of the phase, on the
   // survivors, plus the checkpoint heal reads — the price of surviving the
   // crash instead of re-running the whole job. (The dead places' wasted
   // pre-crash work is parallel loss and does not extend the makespan.)
-  double recovery_span = recovery_heal_seconds;
-  if (replayed_tasks > 0) {
-    sim::SlotTimeline rec_tl(spec, map_end);
-    for (const TaskPlan& t : tasks) {
-      if (!t.replayed) continue;
-      double d = t.cpu_seconds * spec.data_scale;
-      if (!t.cache_hit) d += cost_.DfsRead(t.input_bytes, t.local_read);
-      else if (t.l2_hit) d += cost_.L2Read(t.input_bytes, !t.l2_remote);
-      if (num_reduce == 0 && !temporary) d += cost_.DfsWrite(t.output_bytes);
-      rec_tl.ScheduleOnNode(t.place, map_end, d);
-    }
-    recovery_span += rec_tl.Makespan() - map_end;
+  double recovery_span = ctx.recovery_heal_seconds;
+  sim::SlotTimeline rec_tl(spec, map_end);
+  bool replayed = false;
+  for (const TaskPlan& t : tasks) {
+    if (!t.replayed) continue;
+    rec_tl.ScheduleOnNode(t.place, map_end, MapTaskSimSeconds(ctx, t));
+    replayed = true;
   }
+  if (replayed) recovery_span += rec_tl.Makespan() - map_end;
   if (recovery_span > 0) {
-    const int64_t ms = static_cast<int64_t>(
-        std::llround(recovery_span * 1000.0));
+    const int64_t ms =
+        static_cast<int64_t>(std::llround(recovery_span * 1000.0));
     result.time_breakdown["recovery"] = recovery_span;
     result.metrics["recovery_millis"] = ms;
     result.counters.Increment(api::counters::kM3rGroup,
                               api::counters::kRecoveryMillis, ms);
   }
-  const double phase_end = map_end + recovery_span;
+  ctx.phase_end = map_end + recovery_span;
+  return Status::OK();
+}
 
-  double total;
+Status M3REngine::ReplanLostTasks(JobContext& ctx,
+                                  const std::vector<int>& newly_dead,
+                                  const std::vector<int>& alive) {
+  const int num_places = ctx.num_places;
+  const int num_reduce = ctx.num_reduce;
+  ShuffleExchange& shuffle = *ctx.shuffle;
+  std::vector<TaskPlan>& tasks = ctx.tasks;
+  // Re-home the dead places' partitions and lanes onto the survivors
+  // (partition-map version bump; orphan lanes delivered at the barrier).
+  if (num_reduce > 0) {
+    ShuffleExchange::RecoveryStats rs =
+        shuffle.DropDeadPlaces(newly_dead, alive);
+    ctx.pmap_version = shuffle.map_version();
+    M3R_LOG(Warn) << "recovery: re-homed " << rs.rehomed_partitions
+                  << " partitions, dropped " << rs.dropped_local_pairs
+                  << " pre-barrier pairs, " << rs.dropped_lanes
+                  << " dead lanes and " << rs.dropped_runs
+                  << " shipped runs (map v" << ctx.pmap_version << ")";
+  }
+  // Heal evicted inputs (the entry-time heal, charged to the recovery
+  // span); cache-only inputs still short afterwards are unrecoverable
+  // in-flight.
+  M3R_RETURN_NOT_OK(HealInputs(ctx, &ctx.recovery_heal_seconds));
+
+  // Classify the dead places' tasks: never-started work is reassigned as
+  // normal work; completed work whose output died with the place (shuffle
+  // state, or a cache-only output) is replayed. Completed map-only tasks
+  // with materialized output keep their DFS files — never re-committed.
+  int64_t replayed_round = 0;
+  for (size_t i = 0; i < tasks.size(); ++i) {
+    TaskPlan& t = tasks[i];
+    if (!std::binary_search(newly_dead.begin(), newly_dead.end(), t.place)) {
+      continue;
+    }
+    if (ctx.task_done[i]) {
+      if (num_reduce == 0 && !ctx.temporary) continue;
+      ctx.task_done[i] = 0;
+      t.replayed = true;
+      t.status = Status::OK();
+      t.output_bytes = 0;
+      ctx.map_tasks_done.fetch_sub(1, std::memory_order_relaxed);
+      ++replayed_round;
+    }
+    // Revalidate the cache plan: the dead place took its blocks with it.
+    // A DFS-backed split degrades to a re-read; a cache-only block that
+    // the heal could not restore is lost for good.
+    if (t.cache_hit && !cache_.GetBlock(*t.cache_path, t.block_name)) {
+      if (t.whole_file_hit || t.empty_hit ||
+          !base_fs_->Exists(*t.cache_path)) {
+        return Status::DataLoss("place crash lost cached input block " +
+                                *t.cache_path + "#" + t.block_name);
+      }
+      t.cache_hit = false;
+      t.l2_hit = false;
+      t.block_name = Cache::BlockNameForSplit(*t.split);
+    }
+    // Re-plan onto a survivor: partitioned splits follow the re-homed
+    // partition map (stability within the new epoch); everything else
+    // keeps its planning preference, deterministically re-hashed onto
+    // the alive list when the preferred place died.
+    auto locations = t.split->GetLocations();
+    int pref;
+    if (const auto* placed = FindSplit<api::PlacedSplit>(*t.split)) {
+      const int part = placed->GetPlacedPartition();
+      pref = num_reduce > 0 && part >= 0 && part < num_reduce
+                 ? shuffle.PlaceOfPartition(part)
+                 : (options_.partition_stability
+                        ? StablePlaceOfPartition(part, num_places)
+                        : (part + ctx.salt) % num_places);
+    } else if (t.cache_hit) {
+      pref = cache_.GetBlock(*t.cache_path, t.block_name)->info.place;
+    } else if (!locations.empty()) {
+      pref = locations[0] % num_places;
+    } else {
+      pref = alive[i % alive.size()];
+    }
+    if (ctx.membership.IsSuspectOrDead(pref)) {
+      pref = alive[static_cast<size_t>(pref) % alive.size()];
+    }
+    t.place = pref;
+    t.local_read = ReadsLocally(t.cache_hit, locations, t.place, num_places);
+  }
+
+  ctx.recovered_map_tasks += replayed_round;
+  ctx.result.counters.Increment(api::counters::kM3rGroup,
+                                api::counters::kRecoveredMapTasks,
+                                replayed_round);
+  // This crash is handled; clear the verdict so a later crash (next
+  // round, or mid-reduce) is judged on its own.
+  {
+    std::lock_guard<std::mutex> lock(ctx.crash_mu);
+    ctx.crash_status = Status::OK();
+  }
+  // Next round runs exactly the not-done work (all of it re-planned onto
+  // survivors — a finished round leaves nothing pending anywhere else).
+  for (auto& v : ctx.tasks_of_place) v.clear();
+  for (size_t i = 0; i < tasks.size(); ++i) {
+    if (!ctx.task_done[i]) {
+      ctx.tasks_of_place[static_cast<size_t>(tasks[i].place)].push_back(i);
+    }
+  }
+  ReportProgress(ctx.conf,
+                 MapProgress(ctx.map_tasks_done.load(), tasks.size()),
+                 &ctx.result.counters);
+  return Status::OK();
+}
+
+double M3REngine::MapTaskSimSeconds(const JobContext& ctx,
+                                    const TaskPlan& t) const {
+  double d = t.cpu_seconds * options_.cluster.data_scale;
+  if (!t.cache_hit) d += cost_.DfsRead(t.input_bytes, t.local_read);
+  // L2-promoted splits pay the tier's memory/network cost, not a DFS
+  // re-read — the hierarchy the paper's in-memory thesis predicts.
+  else if (t.l2_hit) d += cost_.L2Read(t.input_bytes, !t.l2_remote);
+  if (ctx.num_reduce == 0 && !ctx.temporary) d += cost_.DfsWrite(t.output_bytes);
+  return d;
+}
+
+Status M3REngine::Exchange(JobContext& ctx) {
+  if (ctx.num_reduce == 0) return Status::OK();
+  const sim::ClusterSpec& spec = options_.cluster;
+  api::JobResult& result = ctx.result;
+  ShuffleExchange& shuffle = *ctx.shuffle;
+  // --- Shuffle delivery (after the Team barrier, §5.1) ---
+  // Dead places deliver nothing; their inbound (orphan) lanes are
+  // delivered by round-robin survivors inside DeliverTo.
+  places_.FinishForAll([&](int place) {
+    if (ctx.membership.IsDead(place)) return;
+    shuffle.DeliverTo(place, ctx.workers > 1 ? &places_.pool() : nullptr,
+                      ctx.workers);
+  });
+  // A dropped lane means a partition silently lost pairs: never reduce
+  // over partial shuffle data.
+  M3R_RETURN_NOT_OK(shuffle.status());
+
+  double shuffle_span = 0;
+  const double map_phase_span = ctx.phase_end - ctx.t0;
+  for (int p = 0; p < ctx.num_places; ++p) {
+    if (ctx.membership.IsDead(p)) continue;  // no lanes, no decode
+    uint64_t send = 0;
+    // Orphan lanes this survivor delivers for dead destinations count as
+    // its received traffic (it pulls them over the wire to decode).
+    uint64_t recv = shuffle.OrphanWireBytesFor(p);
+    // Runs shipped before the barrier overlap the map phase's compute;
+    // only the residual barrier drain — plus whatever pre-barrier wire
+    // time exceeded the map phase itself — extends the post-barrier span.
+    uint64_t pre_send = 0, pre_recv = 0;
+    for (int q = 0; q < ctx.num_places; ++q) {
+      if (q != p) {
+        uint64_t s_total = shuffle.WireBytes(p, q);
+        uint64_t s_resid = shuffle.BarrierWireBytes(p, q);
+        uint64_t r_total = shuffle.WireBytes(q, p);
+        uint64_t r_resid = shuffle.BarrierWireBytes(q, p);
+        send += s_resid;
+        recv += r_resid;
+        pre_send += s_total - s_resid;
+        pre_recv += r_total - r_resid;
+      }
+    }
+    // Deserialization at a place is spread across its worker threads (the
+    // paper's "8 worker threads to exploit the 8 cores"): pack the
+    // measured per-stream decode CPU seconds onto the place's simulated
+    // slots in deterministic stream order; the longest slot is the place's
+    // decode time. A single fat stream cannot be split.
+    std::vector<double> slot_busy(
+        static_cast<size_t>(std::max(spec.slots_per_node, 1)), 0.0);
+    for (double stream_seconds : shuffle.DecodeSeconds(p)) {
+      *std::min_element(slot_busy.begin(), slot_busy.end()) +=
+          stream_seconds * spec.data_scale;
+    }
+    double decode = *std::max_element(slot_busy.begin(), slot_busy.end());
+    double comm = cost_.NetTransfer(send) + cost_.NetTransfer(recv) + decode;
+    if (pre_send > 0 || pre_recv > 0) {
+      double pre = cost_.NetTransfer(pre_send) + cost_.NetTransfer(pre_recv);
+      comm += std::max(0.0, pre - map_phase_span);
+    }
+    shuffle_span = std::max(shuffle_span, comm);
+  }
+
+  const ShuffleExchange::Stats s = shuffle.ComputeStats();
+  // Combine-path clones are tracked via the counter; the metric folds in
+  // the exchange's own before the counter does.
+  result.metrics["cloned_pairs"] =
+      static_cast<int64_t>(s.cloned_pairs) +
+      result.counters.Get(api::counters::kM3rGroup,
+                          api::counters::kClonedPairs);
+  // Each exchange statistic as a job-end metric and, where one exists, the
+  // M3R counter of the same quantity.
+  const struct {
+    const char* metric;
+    const char* counter;
+    uint64_t value;
+  } stats[] = {
+      {"shuffle_local_pairs", api::counters::kLocalShufflePairs,
+       s.local_pairs},
+      {"shuffle_remote_pairs", api::counters::kRemoteShufflePairs,
+       s.remote_pairs},
+      {"shuffle_wire_bytes", nullptr, s.total_wire_bytes},
+      {"dedup_objects", api::counters::kDedupedObjects, s.deduped_objects},
+      {"dedup_saved_bytes", api::counters::kDedupSavedBytes,
+       s.dedup_saved_bytes},
+      {"aliased_pairs", api::counters::kAliasedPairs, s.aliased_pairs},
+      {nullptr, api::counters::kClonedPairs, s.cloned_pairs},
+      {"shuffle_runs_shipped", api::counters::kShuffleRunsShipped,
+       s.runs_shipped},
+      {"shuffle_runs_compacted", nullptr, s.runs_compacted},
+      {"shuffle_overflow_spills", api::counters::kShuffleOverflowSpills,
+       s.overflow_spills},
+      {"shuffle_pool_peak_bytes", nullptr, s.peak_resident_run_bytes},
+      {"shuffle_max_partition_run_bytes", nullptr,
+       s.max_partition_run_bytes},
+  };
+  for (const auto& stat : stats) {
+    const auto value = static_cast<int64_t>(stat.value);
+    if (stat.metric != nullptr) result.metrics[stat.metric] = value;
+    if (stat.counter != nullptr) {
+      result.counters.Increment(api::counters::kM3rGroup, stat.counter,
+                                value);
+    }
+  }
+  result.time_breakdown["shuffle"] = shuffle_span + spec.m3r_barrier_s;
+  ctx.reduce_start = ctx.phase_end + spec.m3r_barrier_s + shuffle_span;
+  // First reducer starts the moment the barrier drain lands — early
+  // flushing's headline latency win.
+  result.metrics["time_to_first_reduce_ms"] =
+      static_cast<int64_t>(std::llround(ctx.reduce_start * 1000.0));
+  return Status::OK();
+}
+
+void M3REngine::RunReduceTask(JobContext& ctx, int p, int place) {
+  const api::JobConf& conf = ctx.conf;
+  ShuffleExchange& shuffle = *ctx.shuffle;
+  ReduceResult& rr = ctx.reduce_results[static_cast<size_t>(p)];
+  if (ctx.cancelled.load(std::memory_order_relaxed)) return;
+  if (CancelRequested()) {
+    ctx.cancelled.store(true, std::memory_order_relaxed);
+    return;
+  }
+  if (ctx.fault != nullptr) {
+    rr.status = ctx.fault->Check("m3r.reduce", std::to_string(p));
+    if (!rr.status.ok()) return;
+  }
+  CpuStopwatch sw;
+  TaskCounters counters(&ctx.result.counters);
+  api::Reporter& reporter = counters.reporter();
+
+  // Sort the local pairs (in-memory, same comparator semantics as Hadoop);
+  // the remote ones merge in below.
+  const KVSeq& incoming = shuffle.PartitionPairs(p);
+  std::vector<api::KeyedPair> pairs;
+  pairs.reserve(incoming.size());
+  for (const auto& [k, v] : incoming) {
+    api::KeyedPair kp;
+    kp.key_bytes = serialize::SerializeToString(*k);
+    kp.key = k;
+    kp.value = v;
+    pairs.push_back(std::move(kp));
+  }
+  api::SortOptions sort_options;
+  if (ctx.workers > 1) {
+    sort_options.executor = &places_.pool();
+    sort_options.max_workers = ctx.workers;
+  }
+  api::SortStats sort_stats;
+  api::SortPairs(conf, &pairs, sort_options, &sort_stats);
+  {
+    std::lock_guard<std::mutex> lock(ctx.sort_mu);
+    ctx.sort_cpu_total += sort_stats.cpu_seconds;
+  }
+  // The caller-thread share of the sort is already inside `sw`; remember
+  // it so the task's generic compute isn't double-charged.
+  const double sort_caller = sort_stats.caller_cpu_seconds;
+  // The partition's remote pairs arrived as sorted runs; k-way merge them
+  // with the (sorted) local pairs instead of re-sorting the whole
+  // partition.
+  std::vector<SortedRun> runs;
+  rr.status = shuffle.CollectPartitionRuns(p, &runs);
+  if (!rr.status.ok()) return;
+  MergeSortedRuns(ctx.run_comparator(), runs, &pairs);
+  reporter.IncrCounter(api::counters::kTaskGroup,
+                       api::counters::kReduceInputRecords,
+                       static_cast<int64_t>(pairs.size()));
+
+  api::SortedPairsGroupSource groups(conf, &pairs);
+  rr.status = WriteTaskOutput(
+      ctx, p, place, ctx.reduce_immutable,
+      api::counters::kReduceOutputRecords, reporter, sw,
+      [&](api::OutputCollector& out) {
+        bool imm_unused = false;
+        return api::RunReduceTask(conf, groups, out, reporter, &imm_unused);
+      },
+      &rr.output_bytes);
+  if (!rr.status.ok()) return;
+  rr.cpu_seconds += std::max(0.0, sw.ElapsedSeconds() - sort_caller);
+  ctx.membership.Heartbeat(place);
+}
+
+Status M3REngine::Reduce(JobContext& ctx) {
+  const sim::ClusterSpec& spec = options_.cluster;
+  api::JobResult& result = ctx.result;
+  const int num_reduce = ctx.num_reduce;
   if (num_reduce == 0) {
-    total = phase_end + spec.m3r_barrier_s;
-    for (const TaskPlan& t : tasks) {
+    // Map-only: the map output is the job output.
+    ctx.total = ctx.phase_end + spec.m3r_barrier_s;
+    for (const TaskPlan& t : ctx.tasks) {
       result.metrics["hdfs_write_bytes"] +=
           static_cast<int64_t>(t.output_bytes);
     }
-  } else {
-    // --- Shuffle delivery (after the Team barrier, §5.1) ---
-    // Dead places deliver nothing; their inbound (orphan) lanes are
-    // delivered by round-robin survivors inside DeliverTo.
-    places_.FinishForAll([&](int place) {
-      if (membership.IsDead(place)) return;
-      shuffle.DeliverTo(place, workers > 1 ? &places_.pool() : nullptr,
-                        workers);
-    });
-    // A dropped lane means a partition silently lost pairs: never reduce
-    // over partial shuffle data.
-    if (!shuffle.status().ok()) return fail_job(shuffle.status());
-
-    double shuffle_span = 0;
-    const double map_phase_span = phase_end - t0;
-    for (int p = 0; p < num_places; ++p) {
-      if (membership.IsDead(p)) continue;  // no lanes, no decode
-      uint64_t send = 0;
-      // Orphan lanes this survivor delivers for dead destinations count as
-      // its received traffic (it pulls them over the wire to decode).
-      uint64_t recv = shuffle.OrphanWireBytesFor(p);
-      // Runs shipped before the barrier overlap the map phase's compute;
-      // only the residual barrier drain — plus whatever pre-barrier wire
-      // time exceeded the map phase itself — extends the post-barrier span.
-      uint64_t pre_send = 0, pre_recv = 0;
-      for (int q = 0; q < num_places; ++q) {
-        if (q != p) {
-          uint64_t s_total = shuffle.WireBytes(p, q);
-          uint64_t s_resid = shuffle.BarrierWireBytes(p, q);
-          uint64_t r_total = shuffle.WireBytes(q, p);
-          uint64_t r_resid = shuffle.BarrierWireBytes(q, p);
-          send += s_resid;
-          recv += r_resid;
-          pre_send += s_total - s_resid;
-          pre_recv += r_total - r_resid;
-        }
-      }
-      // Deserialization at a place is spread across its worker threads
-      // (the paper's "8 worker threads to exploit the 8 cores"): pack the
-      // measured per-stream decode CPU seconds onto the place's simulated
-      // slots in deterministic stream order; the longest slot is the
-      // place's decode time. A single fat stream cannot be split, which
-      // the old "divide the total by the slot count" shortcut got wrong.
-      std::vector<double> slot_busy(
-          static_cast<size_t>(std::max(spec.slots_per_node, 1)), 0.0);
-      for (double stream_seconds : shuffle.DecodeSeconds(p)) {
-        *std::min_element(slot_busy.begin(), slot_busy.end()) +=
-            stream_seconds * spec.data_scale;
-      }
-      double decode = *std::max_element(slot_busy.begin(), slot_busy.end());
-      double comm = cost_.NetTransfer(send) + cost_.NetTransfer(recv) +
-                    decode;
-      if (pre_send > 0 || pre_recv > 0) {
-        double pre = cost_.NetTransfer(pre_send) + cost_.NetTransfer(pre_recv);
-        comm += std::max(0.0, pre - map_phase_span);
-      }
-      shuffle_span = std::max(shuffle_span, comm);
-    }
-    ShuffleExchange::Stats sstats = shuffle.ComputeStats();
-    result.metrics["shuffle_local_pairs"] =
-        static_cast<int64_t>(sstats.local_pairs);
-    result.metrics["shuffle_remote_pairs"] =
-        static_cast<int64_t>(sstats.remote_pairs);
-    result.metrics["shuffle_wire_bytes"] =
-        static_cast<int64_t>(sstats.total_wire_bytes);
-    result.metrics["dedup_objects"] =
-        static_cast<int64_t>(sstats.deduped_objects);
-    result.metrics["dedup_saved_bytes"] =
-        static_cast<int64_t>(sstats.dedup_saved_bytes);
-    result.metrics["aliased_pairs"] =
-        static_cast<int64_t>(sstats.aliased_pairs);
-    // Combine-path clones are tracked via the counter; fold both sources.
-    result.metrics["cloned_pairs"] =
-        static_cast<int64_t>(sstats.cloned_pairs) +
-        result.counters.Get(api::counters::kM3rGroup,
-                            api::counters::kClonedPairs);
-    result.counters.Increment(api::counters::kM3rGroup,
-                              api::counters::kLocalShufflePairs,
-                              static_cast<int64_t>(sstats.local_pairs));
-    result.counters.Increment(api::counters::kM3rGroup,
-                              api::counters::kRemoteShufflePairs,
-                              static_cast<int64_t>(sstats.remote_pairs));
-    result.counters.Increment(api::counters::kM3rGroup,
-                              api::counters::kDedupedObjects,
-                              static_cast<int64_t>(sstats.deduped_objects));
-    result.counters.Increment(api::counters::kM3rGroup,
-                              api::counters::kDedupSavedBytes,
-                              static_cast<int64_t>(sstats.dedup_saved_bytes));
-    result.counters.Increment(api::counters::kM3rGroup,
-                              api::counters::kAliasedPairs,
-                              static_cast<int64_t>(sstats.aliased_pairs));
-    result.counters.Increment(api::counters::kM3rGroup,
-                              api::counters::kClonedPairs,
-                              static_cast<int64_t>(sstats.cloned_pairs));
-    result.metrics["shuffle_runs_shipped"] =
-        static_cast<int64_t>(sstats.runs_shipped);
-    result.metrics["shuffle_runs_compacted"] =
-        static_cast<int64_t>(sstats.runs_compacted);
-    result.metrics["shuffle_overflow_spills"] =
-        static_cast<int64_t>(sstats.overflow_spills);
-    result.metrics["shuffle_pool_peak_bytes"] =
-        static_cast<int64_t>(sstats.peak_resident_run_bytes);
-    result.metrics["shuffle_max_partition_run_bytes"] =
-        static_cast<int64_t>(sstats.max_partition_run_bytes);
-    result.counters.Increment(api::counters::kM3rGroup,
-                              api::counters::kShuffleRunsShipped,
-                              static_cast<int64_t>(sstats.runs_shipped));
-    result.counters.Increment(api::counters::kM3rGroup,
-                              api::counters::kShuffleOverflowSpills,
-                              static_cast<int64_t>(sstats.overflow_spills));
-    result.time_breakdown["shuffle"] = shuffle_span + spec.m3r_barrier_s;
-    const double reduce_start = phase_end + spec.m3r_barrier_s + shuffle_span;
-    // First reducer starts the moment the barrier drain lands — early
-    // flushing's headline latency win.
-    result.metrics["time_to_first_reduce_ms"] =
-        static_cast<int64_t>(std::llround(reduce_start * 1000.0));
-
-    // --- Reduce phase ---
-    struct ReduceResult {
-      Status status;
-      double cpu_seconds = 0;
-      uint64_t output_bytes = 0;
-    };
-    std::vector<ReduceResult> reduce_results(
-        static_cast<size_t>(num_reduce));
-    bool reduce_immutable =
-        options_.respect_immutable && ReduceOutputImmutable(conf);
-    // Sort-kernel CPU across every reduce task (including work stolen by
-    // pool strands), charged to time_breakdown["sort"] below.
-    std::mutex sort_mu;
-    double sort_cpu_total = 0;
-
-    auto run_reduce_task = [&](int p, int place) {
-        ReduceResult& rr = reduce_results[static_cast<size_t>(p)];
-        if (cancelled.load(std::memory_order_relaxed)) return;
-        if (CancelRequested()) {
-          cancelled.store(true, std::memory_order_relaxed);
-          return;
-        }
-        if (fault != nullptr) {
-          rr.status = fault->Check("m3r.reduce", std::to_string(p));
-          if (!rr.status.ok()) return;
-        }
-        CpuStopwatch sw;
-        TaskCounters counters(&result.counters);
-        api::Reporter& reporter = counters.reporter();
-
-        // Sort the local pairs (in-memory, same comparator semantics as
-        // Hadoop); the remote ones merge in below.
-        const KVSeq& incoming = shuffle.PartitionPairs(p);
-        std::vector<api::KeyedPair> pairs;
-        pairs.reserve(incoming.size());
-        for (const auto& [k, v] : incoming) {
-          api::KeyedPair kp;
-          kp.key_bytes = serialize::SerializeToString(*k);
-          kp.key = k;
-          kp.value = v;
-          pairs.push_back(std::move(kp));
-        }
-        api::SortOptions sort_options;
-        if (workers > 1) {
-          sort_options.executor = &places_.pool();
-          sort_options.max_workers = workers;
-        }
-        api::SortStats sort_stats;
-        api::SortPairs(conf, &pairs, sort_options, &sort_stats);
-        {
-          std::lock_guard<std::mutex> lock(sort_mu);
-          sort_cpu_total += sort_stats.cpu_seconds;
-        }
-        // The caller-thread share of the sort is already inside `sw`;
-        // remember it so the task's generic compute isn't double-charged.
-        const double sort_caller = sort_stats.caller_cpu_seconds;
-        // The partition's remote pairs arrived as sorted runs; k-way merge
-        // them with the (sorted) local pairs instead of re-sorting the
-        // whole partition. Equal keys drain local-first, then in (source
-        // place, lane, flush seq) order.
-        std::vector<SortedRun> runs;
-        rr.status = shuffle.CollectPartitionRuns(p, &runs);
-        if (!rr.status.ok()) return;
-        if (!runs.empty()) {
-          sortkit::RunMerger merger(shuffle_options.run_comparator);
-          size_t fed = 0;
-          merger.AddRun(
-              [&pairs, &fed](std::string_view* k, std::string_view* v) {
-                if (fed >= pairs.size()) return false;
-                *k = pairs[fed].key_bytes;
-                *v = std::string_view();
-                ++fed;
-                return true;
-              },
-              /*ordinal=*/0);
-          std::vector<serialize::DataInput> ins;
-          ins.reserve(runs.size());
-          uint64_t remote_records = 0;
-          for (const SortedRun& run : runs) {
-            remote_records += run.records;
-            ins.emplace_back(std::string_view(run.bytes));
-          }
-          // Each run's key/value factories, resolved once per run rather
-          // than by type name per record.
-          struct RunFactories {
-            serialize::WritableRegistry::Factory make_key;
-            serialize::WritableRegistry::Factory make_value;
-          };
-          const serialize::WritableRegistry& registry =
-              serialize::WritableRegistry::Instance();
-          std::unordered_map<uint64_t, RunFactories> factories_of;
-          factories_of.reserve(runs.size());
-          for (size_t i = 0; i < runs.size(); ++i) {
-            serialize::DataInput* in = &ins[i];
-            const uint64_t ord = RunOrdinal(runs[i].src_place,
-                                            runs[i].worker_lane,
-                                            runs[i].seq);
-            factories_of.emplace(
-                ord, RunFactories{registry.Resolve(runs[i].key_type),
-                                  registry.Resolve(runs[i].value_type)});
-            merger.AddRun(
-                [in](std::string_view* k, std::string_view* v) {
-                  if (in->AtEnd()) return false;
-                  *k = in->ReadStringView();
-                  *v = in->ReadStringView();
-                  return true;
-                },
-                ord);
-          }
-          std::vector<api::KeyedPair> merged;
-          merged.reserve(pairs.size() + remote_records);
-          std::string_view mk, mv;
-          uint64_t ord = 0;
-          size_t consumed = 0;
-          while (merger.Next(&mk, &mv, &ord)) {
-            if (ord == 0) {
-              merged.push_back(std::move(pairs[consumed++]));
-              continue;
-            }
-            const RunFactories& run = factories_of.find(ord)->second;
-            api::KeyedPair kp;
-            kp.key_bytes.assign(mk.data(), mk.size());
-            kp.key = run.make_key();
-            serialize::DeserializeFromString(kp.key_bytes, kp.key.get());
-            kp.value = run.make_value();
-            serialize::DeserializeFromString(mv, kp.value.get());
-            merged.push_back(std::move(kp));
-          }
-          pairs = std::move(merged);
-        }
-        reporter.IncrCounter(api::counters::kTaskGroup,
-                             api::counters::kReduceInputRecords,
-                             static_cast<int64_t>(pairs.size()));
-
-        std::unique_ptr<api::RecordWriter> writer;
-        if (!temporary) {
-          std::string temp_path =
-              api::file_output::TempPath(conf, p, /*attempt=*/0);
-          auto writer_or =
-              output_format->GetRecordWriter(conf, *fs_, temp_path, place);
-          if (!writer_or.ok()) {
-            rr.status = writer_or.status();
-            return;
-          }
-          writer = writer_or.take();
-        }
-
-        M3RNamedOutputSink named_sink(conf, *fs_, &cache_, p, place,
-                                      temporary);
-        api::ScopedNamedOutputSink scoped(&named_sink);
-        OutputSeqCollector collector(reduce_immutable, writer.get(),
-                                     &reporter,
-                                     api::counters::kReduceOutputRecords);
-        api::SortedPairsGroupSource groups(conf, &pairs);
-        bool imm_unused = false;
-        rr.status = api::RunReduceTask(conf, groups, collector, reporter,
-                                       &imm_unused);
-        if (!rr.status.ok()) return;
-        if (writer != nullptr) {
-          rr.status = writer->Close();
-          if (!rr.status.ok()) return;
-          rr.output_bytes = writer->BytesWritten();
-          api::FileOutputCommitter committer;
-          rr.status = committer.CommitTask(conf, *fs_, p, /*attempt=*/0);
-          if (!rr.status.ok()) return;
-        }
-        uint64_t named_bytes = 0;
-        rr.status = named_sink.Finish(&named_bytes);
-        if (!rr.status.ok()) return;
-        rr.output_bytes += named_bytes;
-
-        // Cache the partition's output at this place — the key move that
-        // makes the next job's input land here again (§3.2.2.2).
-        if (options_.enable_cache) {
-          std::string out_file = api::file_output::FinalPath(conf, p);
-          rr.status = cache_.PutBlock(out_file, "0", place,
-                                      collector.TakeSeq(),
-                                      collector.bytes(), sw.ElapsedSeconds(),
-                                      /*droppable=*/!temporary,
-                                      /*whole_file=*/true);
-          if (!rr.status.ok()) return;
-        }
-        rr.cpu_seconds += std::max(0.0, sw.ElapsedSeconds() - sort_caller);
-        membership.Heartbeat(place);
-    };
-    places_.FinishForAll([&](int place) {
-      if (membership.IsDead(place)) return;
-      if (!place_alive(place)) return;
-      std::vector<int> mine;
-      for (int p = 0; p < num_reduce; ++p) {
-        if (shuffle.PlaceOfPartition(p) == place) mine.push_back(p);
-      }
-      if (mine.size() <= 1 || workers <= 1) {
-        for (int p : mine) run_reduce_task(p, place);
-      } else {
-        places_.pool().ParallelFor(
-            mine.size(),
-            [&](size_t k) { run_reduce_task(mine[k], place); }, workers);
-      }
-    });
-    Status reduce_crash;
-    {
-      std::lock_guard<std::mutex> lock(crash_mu);
-      reduce_crash = crash_status;
-    }
-    if (!reduce_crash.ok()) {
-      // A crash past the map barrier is past the recovery horizon: the
-      // dead place's reduce state (sorted runs, partial writers) is not
-      // reconstructible from retained shuffle lanes. Tear the place down
-      // so its cache blocks don't serve stale data, then fall back to the
-      // whole-job retriable failure — the resubmitted attempt heals its
-      // inputs from the checkpoint.
-      confirm_and_teardown();
-      result.sim_seconds = reduce_start;
-      return fail_job(std::move(reduce_crash));
-    }
-    if (cancelled.load()) {
-      return fail_job(Status::Cancelled("job cancelled"));
-    }
-    for (const ReduceResult& rr : reduce_results) {
-      if (!rr.status.ok()) return fail_job(rr.status);
-    }
-
-    sim::SlotTimeline red_tl(spec, reduce_start);
+    return Status::OK();
+  }
+  ShuffleExchange& shuffle = *ctx.shuffle;
+  ctx.reduce_results.resize(static_cast<size_t>(num_reduce));
+  ctx.reduce_immutable =
+      options_.respect_immutable &&
+      ReducerOutputImmutable(ctx.conf, ctx.conf.UsesNewApiReducer(),
+                             api::conf::kMapreduceReducer,
+                             api::conf::kMapredReducer);
+  places_.FinishForAll([&](int place) {
+    if (ctx.membership.IsDead(place)) return;
+    if (!PlaceAlive(ctx, place)) return;
+    std::vector<int> mine;
     for (int p = 0; p < num_reduce; ++p) {
-      const ReduceResult& rr = reduce_results[static_cast<size_t>(p)];
-      double d = rr.cpu_seconds * spec.data_scale;
-      if (!temporary) d += cost_.DfsWrite(rr.output_bytes);
-      red_tl.ScheduleOnNode(shuffle.PlaceOfPartition(p), reduce_start, d);
-      result.metrics["hdfs_write_bytes"] +=
-          static_cast<int64_t>(rr.output_bytes);
-      result.counters.Increment(api::counters::kFsGroup,
-                                api::counters::kHdfsBytesWritten,
-                                static_cast<int64_t>(rr.output_bytes));
+      if (shuffle.PlaceOfPartition(p) == place) mine.push_back(p);
     }
-    double reduce_end = red_tl.Makespan();
-    result.time_breakdown["reduce_phase"] = reduce_end - reduce_start;
-    result.metrics["reduce_tasks"] = num_reduce;
-    total = reduce_end + spec.m3r_barrier_s;
-    // Sort kernel CPU, amortized per slot (same treatment as the
-    // integrity charge below).
-    if (sort_cpu_total > 0) {
-      double sort_s = sort_cpu_total * spec.data_scale / spec.total_slots();
-      result.time_breakdown["sort"] = sort_s;
-      total += sort_s;
+    if (mine.size() <= 1 || ctx.workers <= 1) {
+      for (int p : mine) RunReduceTask(ctx, p, place);
+    } else {
+      places_.pool().ParallelFor(
+          mine.size(), [&](size_t k) { RunReduceTask(ctx, mine[k], place); },
+          ctx.workers);
     }
+  });
+  Status reduce_crash;
+  {
+    std::lock_guard<std::mutex> lock(ctx.crash_mu);
+    reduce_crash = ctx.crash_status;
+  }
+  if (!reduce_crash.ok()) {
+    // A crash past the map barrier is past the recovery horizon: the dead
+    // place's reduce state (sorted runs, partial writers) is not
+    // reconstructible from retained shuffle lanes. Tear the place down so
+    // its cache blocks don't serve stale data, then fall back to the
+    // whole-job retriable failure — the resubmitted attempt heals its
+    // inputs from the checkpoint.
+    ConfirmAndTeardown(ctx);
+    result.sim_seconds = ctx.reduce_start;
+    return reduce_crash;
+  }
+  if (ctx.cancelled.load()) return Status::Cancelled("job cancelled");
+  for (const ReduceResult& rr : ctx.reduce_results) {
+    M3R_RETURN_NOT_OK(rr.status);
   }
 
-  // --- Commit ---
-  if (CancelRequested()) {
-    return fail_job(Status::Cancelled("job cancelled"));
+  sim::SlotTimeline red_tl(spec, ctx.reduce_start);
+  for (int p = 0; p < num_reduce; ++p) {
+    const ReduceResult& rr = ctx.reduce_results[static_cast<size_t>(p)];
+    double d = rr.cpu_seconds * spec.data_scale;
+    if (!ctx.temporary) d += cost_.DfsWrite(rr.output_bytes);
+    red_tl.ScheduleOnNode(shuffle.PlaceOfPartition(p), ctx.reduce_start, d);
+    result.metrics["hdfs_write_bytes"] += static_cast<int64_t>(rr.output_bytes);
+    result.counters.Increment(api::counters::kFsGroup,
+                              api::counters::kHdfsBytesWritten,
+                              static_cast<int64_t>(rr.output_bytes));
   }
-  if (!temporary) {
+  const double reduce_end = red_tl.Makespan();
+  result.time_breakdown["reduce_phase"] = reduce_end - ctx.reduce_start;
+  result.metrics["reduce_tasks"] = num_reduce;
+  ctx.total = reduce_end + spec.m3r_barrier_s;
+  // Sort kernel CPU, amortized per slot (same treatment as the integrity
+  // charge at commit).
+  if (ctx.sort_cpu_total > 0) {
+    double sort_s = ctx.sort_cpu_total * spec.data_scale / spec.total_slots();
+    result.time_breakdown["sort"] = sort_s;
+    ctx.total += sort_s;
+  }
+  return Status::OK();
+}
+
+Status M3REngine::Commit(JobContext& ctx) {
+  const api::JobConf& conf = ctx.conf;
+  const sim::ClusterSpec& spec = options_.cluster;
+  api::JobResult& result = ctx.result;
+  if (CancelRequested()) return Status::Cancelled("job cancelled");
+  if (!ctx.temporary) {
     api::FileOutputCommitter committer;
-    Status st = committer.CommitJob(conf, *fs_);
-    if (!st.ok()) return fail_job(std::move(st));
+    M3R_RETURN_NOT_OK(committer.CommitJob(conf, *fs_));
   }
-
   // Commit the cache-only output's manifest: the file set a consumer is
   // entitled to. If a place crash later takes blocks with it, the consumer
   // compares against this record and fails loudly instead of silently
   // computing on the survivors (DESIGN.md §13).
-  if (temporary && options_.enable_cache) {
+  if (ctx.temporary && options_.enable_cache) {
     cache_.RecordManifest(path::Canonicalize(conf.OutputPath()));
   }
-
-  // Spill cache-only outputs to the DFS in the background: "tempout"
-  // covers this job's temporary output, "all" sweeps every cache-only file
-  // (named outputs, earlier jobs' outputs that predate the policy).
-  if (ckpt_policy == "all") {
-    ScheduleCheckpoint(AllCacheOnlyFiles());
-  } else if (ckpt_policy == "tempout" && temporary) {
+  // Spill this job's cache-only (temporary) output to the DFS in the
+  // background ("tempout" checkpoint policy).
+  if (ctx.checkpoint_tempout && ctx.temporary) {
     ScheduleCheckpoint(cache_.FilesUnder(conf.OutputPath()));
   }
-  if (fault != nullptr) {
-    result.metrics["injected_faults"] = fault->InjectedCount();
-  }
-  // A recovered job still reports its crash history.
-  record_crashes();
-  // Integrity tallies + checksum CPU, amortized over the cluster's slots
-  // (the stamps and verifies ran inside tasks on every place).
-  record_integrity();
-  if (integrity != nullptr && integrity->enabled()) {
+  // Checksum CPU, amortized over the cluster's slots (the stamps and
+  // verifies ran inside tasks on every place).
+  if (ctx.integrity != nullptr && ctx.integrity->enabled()) {
     double integrity_s =
         cost_.Checksum(static_cast<uint64_t>(
-            integrity->counters->bytes_checksummed.load())) /
+            ctx.integrity->counters->bytes_checksummed.load())) /
         spec.total_slots();
     result.time_breakdown["integrity"] = integrity_s;
-    total += integrity_s;
+    ctx.total += integrity_s;
   }
-
   // Register the finished output for cross-job reuse: a later submission
   // with the same lineage signature short-circuits to these cached files.
-  if (!lineage_sig.empty() && options_.enable_cache) {
+  if (!ctx.lineage_sig.empty() && options_.enable_cache) {
     const std::string out = path::Canonicalize(conf.OutputPath());
     std::vector<std::string> out_files = cache_.FilesUnder(out);
     if (!out_files.empty()) {
-      cache_manager_->RegisterReuse(lineage_sig, out, out_files);
+      cache_manager_->RegisterReuse(ctx.lineage_sig, out, out_files);
     }
   }
-  // Settle the budget before declaring success: the job is done, so its
-  // pins come off and anything admitted above the cache's share is evicted
-  // (spilling through the checkpoint path) — steady-state residency honors
-  // the configured budget between jobs.
-  pins.ReleaseAll();
-  if (governor_.governed()) cache_manager_->EvictToBudget();
-  record_memgov();
-
-  result.time_breakdown["job_overhead"] = t0;
+  result.time_breakdown["job_overhead"] = ctx.t0;
   // Both paths end on one Team barrier; attribute it explicitly so the
   // per-phase breakdown sums exactly to sim_seconds.
   result.time_breakdown["exit_barrier"] = spec.m3r_barrier_s;
-  result.sim_seconds = total;
-  result.wall_seconds = wall.ElapsedSeconds();
-  result.status = Status::OK();
-  ReportProgress(conf, 1.0, &result.counters);
-  NotifyJobEnd(conf, result);
-  return result;
+  result.sim_seconds = ctx.total;
+  return Status::OK();
+}
+
+void M3REngine::Account(JobContext& ctx) {
+  api::JobResult& result = ctx.result;
+  if (ctx.fault != nullptr) {
+    result.metrics["injected_faults"] = ctx.fault->InjectedCount();
+  }
+  // Crash history, on failure and on a recovered success alike. Runs after
+  // every strand joined, so the tallies need no lock.
+  if (ctx.place_crashes > 0) {
+    result.metrics["place_crashes"] = ctx.place_crashes;
+    result.metrics["cache_evicted_by_crash_blocks"] = ctx.crash_evicted_blocks;
+    result.metrics["recovered_map_tasks"] = ctx.recovered_map_tasks;
+    result.metrics["membership_epoch"] =
+        static_cast<int64_t>(ctx.membership.epoch());
+    result.metrics["partition_map_version"] =
+        static_cast<int64_t>(ctx.pmap_version);
+  }
+  if (ctx.integrity != nullptr && ctx.integrity->enabled()) {
+    const IntegrityCounters& c = *ctx.integrity->counters;
+    result.metrics["integrity_detected"] = c.detected.load();
+    result.metrics["integrity_repaired"] = c.repaired.load();
+    result.metrics["integrity_bytes_checksummed"] = c.bytes_checksummed.load();
+  }
+}
+
+void M3REngine::PublishMemgov(JobContext& ctx, bool final) {
+  const memgov::CacheManager::Counters now = cache_manager_->counters();
+  const l2cache::L2Counters l2now = tiered_->l2_counters();
+  api::JobResult& result = ctx.result;
+  std::lock_guard<std::mutex> lock(ctx.memgov_mu);
+  auto publish = [&](const char* counter, const char* metric,
+                     uint64_t value) {
+    const auto v = static_cast<int64_t>(value);
+    if (counter != nullptr) {
+      result.counters.Increment(
+          api::counters::kM3rGroup, counter,
+          v - result.counters.Get(api::counters::kM3rGroup, counter));
+    }
+    if (final) result.metrics[metric] = v;
+  };
+  for (const auto& row : kCacheDeltas) {
+    publish(row.counter, row.metric, now.*row.field - ctx.mg0.*row.field);
+  }
+  // Gauges, not deltas: resident bytes, current leases (readers + open
+  // fills), and evictions claimed but not yet published.
+  publish(api::counters::kCacheBytesResident, "cache_bytes_resident",
+          cache_manager_->ResidentBytes());
+  publish(api::counters::kCacheLeasesActive, "cache_leases_active",
+          cache_manager_->LeasesActive());
+  publish(api::counters::kCacheEvictorInflight, "cache_evictor_inflight",
+          cache_manager_->EvictorInflight());
+  if (ctx.l2_on) {
+    for (const auto& row : kL2Deltas) {
+      publish(row.counter, row.metric, l2now.*row.field - ctx.l20.*row.field);
+    }
+    if (final) {
+      result.metrics["l2_bytes_resident"] =
+          static_cast<int64_t>(tiered_->L2ResidentBytes());
+    }
+  }
+  if (final && governor_.governed()) {
+    result.metrics["memory_budget_bytes"] =
+        static_cast<int64_t>(governor_.budget());
+    result.metrics["memory_peak_bytes"] =
+        static_cast<int64_t>(governor_.PeakUsage());
+  }
+}
+
+api::JobResult M3REngine::Finish(JobContext& ctx, Status status) {
+  api::JobResult& result = ctx.result;
+  if (!status.ok() && !ctx.owns_output) {
+    // Rejected before the job owned an output: nothing to clean up,
+    // account for, or notify.
+    api::JobResult rejected;
+    rejected.status = std::move(status);
+    return rejected;
+  }
+  if (!status.ok()) {
+    if (!ctx.temporary) {
+      api::FileOutputCommitter committer;
+      committer.AbortJob(ctx.conf, *fs_);
+      fs_->Delete(ctx.conf.OutputPath(), true);
+    } else {
+      cache_.Delete(ctx.conf.OutputPath());
+    }
+  }
+  Account(ctx);
+  if (status.ok() && !ctx.served) {
+    // Settle the budget before declaring success: the job is done, so its
+    // pins come off and anything admitted above the cache's share is
+    // evicted (spilling through the checkpoint path) — steady-state
+    // residency honors the configured budget between jobs.
+    ctx.pins.ReleaseAll();
+    if (governor_.governed()) cache_manager_->EvictToBudget();
+  }
+  PublishMemgov(ctx, /*final=*/true);
+  result.status = std::move(status);
+  result.wall_seconds = ctx.wall.ElapsedSeconds();
+  if (result.status.ok()) ReportProgress(ctx.conf, 1.0, &result.counters);
+  NotifyJobEnd(ctx.conf, result);
+  return std::move(result);
 }
 
 }  // namespace m3r::engine

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -12,6 +13,7 @@
 #include "api/engine.h"
 #include "common/buffer_pool.h"
 #include "common/integrity.h"
+#include "common/stopwatch.h"
 #include "dfs/file_system.h"
 #include "m3r/cache.h"
 #include "m3r/cache_fs.h"
@@ -52,19 +54,19 @@ struct M3REngineOptions {
 /// Like the paper's engine it does not retry failed *tasks*: any task
 /// failure fails the whole instance's job. Whole-place crashes are a
 /// different story (DESIGN.md §14): a per-job membership service tracks
-/// places Healthy -> Suspect -> Dead in epoch-numbered views, and with
-/// m3r.place.recovery=replay (the default) a crash inside the map phase is
-/// survived in-flight — at the next quiesce point the dead place's cache
-/// blocks are evicted, its shuffle partitions are re-homed onto survivors
-/// under a versioned partition map, evicted inputs are healed from the
-/// checkpoint, and only the lost map tasks are replayed before the job
-/// continues into reduce. Crashes past the recovery horizon (mid-reduce,
-/// more than m3r.place.recovery.max.crashes places, or unrecoverable data
-/// loss) fall back to the pre-recovery behavior: the job fails with a
-/// retriable Status::Unavailable, committing no partial _SUCCESS. The
-/// optional checkpoint policy (m3r.cache.checkpoint=off|tempout|all)
-/// spills cache-only temporary outputs to the DFS in the background, so a
-/// restarted instance replays a job sequence from the last materialized
+/// places Healthy -> Suspect -> Dead in epoch-numbered views, and a crash
+/// inside the map phase is survived in-flight — at the next quiesce point
+/// the dead place's cache blocks are evicted, its shuffle partitions are
+/// re-homed onto survivors under a versioned partition map, evicted inputs
+/// are healed from the checkpoint, and only the lost map tasks are
+/// replayed before the job continues into reduce. Crashes past the
+/// recovery horizon (mid-reduce, more than m3r.place.recovery.max.crashes
+/// places, or unrecoverable data loss) fall back to the pre-recovery
+/// behavior: the job fails with a retriable Status::Unavailable, committing
+/// no partial _SUCCESS. A budget of 0 turns in-flight recovery off. The
+/// optional checkpoint policy (m3r.cache.checkpoint=off|tempout) spills
+/// each job's cache-only temporary output to the DFS in the background, so
+/// a restarted instance replays a job sequence from the last materialized
 /// output instead of re-running completed jobs.
 class M3REngine : public api::Engine {
  public:
@@ -118,15 +120,82 @@ class M3REngine : public api::Engine {
 
  private:
   struct TaskPlan;
+  struct JobContext;
 
   /// Submit minus the cross-cutting teardown the wrapper owns (buffer-pool
   /// trim after a cancelled job, once the shuffle exchange has released
-  /// its lanes back to the pool).
+  /// its lanes back to the pool). Runs the stages below in order over one
+  /// JobContext; the first non-OK status, or a job served without running,
+  /// goes straight to Finish (DESIGN.md §17).
   api::JobResult SubmitImpl(const api::JobConf& conf);
 
-  /// Every cached file with no DFS backing (temporary outputs, named
-  /// outputs under temp paths) — the "all" checkpoint policy's spill set.
-  std::vector<std::string> AllCacheOnlyFiles();
+  /// Localizes the distributed cache, validates every M3R knob in one pass,
+  /// configures the governor and the L2 ring, and installs the job's
+  /// fault/integrity guard and input/output pins.
+  Status Admit(JobContext& ctx);
+  /// Serves the job from a reused or checkpointed output when it can;
+  /// otherwise claims the output (spec checks, committer setup).
+  Status Reuse(JobContext& ctx);
+  /// Heals the inputs, plans splits onto places (cache hits, L2 promotions,
+  /// locality), and builds the shuffle exchange.
+  Status Plan(JobContext& ctx);
+  /// Runs the map phase in rounds; a round that loses places is followed
+  /// by a bounded replay of the lost work on the survivors.
+  Status MapRounds(JobContext& ctx);
+  /// Delivers the shuffle after the Team barrier and charges its span.
+  Status Exchange(JobContext& ctx);
+  /// Runs the reduce tasks at their partitions' places.
+  Status Reduce(JobContext& ctx);
+  /// Commits the output, its manifest, checkpoint and reuse registration.
+  Status Commit(JobContext& ctx);
+  /// The one job-end path: cleans up a failed job's output, accounts the
+  /// job (faults, crashes, integrity, memory governance), and reports.
+  api::JobResult Finish(JobContext& ctx, Status status);
+
+  bool ServeReusedOutput(JobContext& ctx);
+  /// Promotes from L2 and restores from the checkpoint whatever the job's
+  /// inputs lost, then fails with DataLoss if a cache-only input is still
+  /// incomplete. A non-null `heal_seconds` is charged the heal's reads.
+  Status HealInputs(JobContext& ctx, double* heal_seconds);
+  void RunMapStrand(JobContext& ctx, int place, size_t strand,
+                    size_t strands);
+  void RunMapTask(JobContext& ctx, size_t i, int place, int lane,
+                  api::OutputCollector* lane_hasher);
+  /// Re-homes the dead places' partitions, heals inputs, and re-plans the
+  /// dead places' tasks onto survivors for the next round.
+  Status ReplanLostTasks(JobContext& ctx, const std::vector<int>& newly_dead,
+                         const std::vector<int>& alive);
+  /// Simulated duration of one map task: measured CPU plus its input read
+  /// and, for materialized map-only output, its DFS write.
+  double MapTaskSimSeconds(const JobContext& ctx, const TaskPlan& t) const;
+  void RunReduceTask(JobContext& ctx, int partition, int place);
+  /// Runs `produce` into task `index`'s share of the job output: a DFS
+  /// writer committed at task end (none for temporary outputs, paper
+  /// §4.2.3), the task's named outputs, and the cached copy the next job
+  /// reads. `output_bytes` gets the bytes that went to the DFS.
+  Status WriteTaskOutput(
+      JobContext& ctx, int index, int place, bool immutable,
+      const char* records_counter, api::Reporter& reporter,
+      const CpuStopwatch& sw,
+      const std::function<Status(api::OutputCollector&)>& produce,
+      uint64_t* output_bytes);
+  /// A place crash (fault site or scripted): the place goes Suspect at once
+  /// and its strands stop at the next task boundary; the teardown waits for
+  /// the next quiesce point.
+  void ReportCrash(JobContext& ctx, int place, Status st);
+  bool PlaceAlive(JobContext& ctx, int place);
+  /// Scripted crash points: "P:N" kills place P between its N-th and
+  /// (N+1)-th task, whatever the strand interleaving.
+  bool ScriptedCrash(JobContext& ctx, int place);
+  /// Quiesce-point teardown: confirms every suspect dead (one epoch bump
+  /// per batch), evicts exactly the dead places' cache blocks, reconciles
+  /// the cache manager, and heals the L2 ring.
+  std::vector<int> ConfirmAndTeardown(JobContext& ctx);
+  void Account(JobContext& ctx);
+  /// Sets the job's memory-governance counters to their deltas against the
+  /// submission baseline; `final` also writes the job-end metrics.
+  void PublishMemgov(JobContext& ctx, bool final);
+
   /// Loads checkpointed blocks of `dir` back into the cache. With
   /// `only_missing`, blocks already cached are left alone (healing after a
   /// place crash evicted part of a file). No checkpoint => OK, no-op.

@@ -560,9 +560,9 @@ TEST(ChaosSoak, WatchdogTimeoutCapsTotalRuntime) {
 
 // ---------------------------------------------------------------------------
 // Mid-job place-failure recovery (DESIGN.md §14): a scripted crash inside
-// the map phase is survived in-flight with m3r.place.recovery=replay (the
-// default) and the recovered output is byte-identical to a crash-free run
-// and to the Hadoop engine; with recovery off the same crash is the old
+// the map phase is survived in-flight under the default crash budget and
+// the recovered output is byte-identical to a crash-free run and to the
+// Hadoop engine; with a budget of 0 (recovery off) the same crash is the
 // whole-job retriable failure.
 // ---------------------------------------------------------------------------
 
@@ -593,13 +593,13 @@ TEST(ChaosSoak, MidMapCrashRecoversByteIdenticalOnBothEngines) {
   ASSERT_TRUE(base.ok()) << base.status.ToString();
   EXPECT_EQ(truth, ReadOutputLines(*fs_m, "/out-base"));
 
-  // Recovery pinned off first (while place 1 still owns its splits — a
-  // crash evicts its blocks and replants them on survivors, which would
-  // defuse a later scripted crash): the pre-recovery contract — a clean,
-  // typed-retriable whole-job failure, no partial commit.
+  // A zero crash budget (recovery off) first, while place 1 still owns its
+  // splits — a crash evicts its blocks and replants them on survivors,
+  // which would defuse a later scripted crash: the pre-recovery contract —
+  // a clean, typed-retriable whole-job failure, no partial commit.
   api::JobConf oj = workloads::MakeWordCountJob("/in", "/out-off", 3, true);
   oj.Set(api::conf::kPlaceCrashAt, "1:1");
-  oj.Set(api::conf::kPlaceRecovery, "off");
+  oj.Set(api::conf::kPlaceRecoveryMaxCrashes, "0");
   api::JobResult orr = m3r->Submit(oj);
   ASSERT_FALSE(orr.ok());
   EXPECT_TRUE(orr.status.IsUnavailable()) << orr.status.ToString();

@@ -846,6 +846,11 @@ void ExpectCounterParity(int workers) {
       }
     }
     if (job.conf.NumReduceTasks() > 0) {
+      // Every reducer, old API or new, counts the key groups it consumes
+      // (equality with Hadoop is checked with the task counters above).
+      EXPECT_GT(m3r.counters.Get(api::counters::kTaskGroup,
+                                 api::counters::kReduceInputGroups),
+                0);
       // Every combiner run consumes its inputs and emits its outputs, so
       // what reaches the reducers is the map output net of all combining.
       for (const ParityRun* run : {&hadoop, &m3r}) {

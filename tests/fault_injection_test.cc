@@ -485,7 +485,7 @@ TEST(M3RPlaceCrashTest, CrashEvictsOnlyDeadPlaceAndFailsJobCleanly) {
   job.Set("m3r.fault.seed", std::to_string(seed));
   job.Set("m3r.fault.m3r.place.prob", std::to_string(kProb));
   // Pin the pre-recovery contract: crash => clean whole-job failure.
-  job.Set(api::conf::kPlaceRecovery, "off");
+  job.Set(api::conf::kPlaceRecoveryMaxCrashes, "0");
   auto result = m3r.Submit(job);
   EXPECT_FALSE(result.ok());
   // A place crash is a retriable infrastructure failure, not a job bug.
@@ -529,7 +529,7 @@ TEST(JobClientRetryTest, RetriableFailuresResubmitNonRetriableDoNot) {
   api::JobConf flaky = workloads::MakeWordCountJob("/in", "/flaky", 2, true);
   flaky.Set("m3r.fault.seed", std::to_string(seed));
   flaky.Set("m3r.fault.m3r.place.prob", std::to_string(kProb));
-  flaky.Set(api::conf::kPlaceRecovery, "off");
+  flaky.Set(api::conf::kPlaceRecoveryMaxCrashes, "0");
   flaky.Set(api::conf::kJobMaxAttempts, "3");
   flaky.Set(api::conf::kJobRetryBackoffMs, "1");
   flaky.Set(api::conf::kJobEndNotificationUrl, "http://observer/cb");
@@ -730,12 +730,15 @@ TEST(M3RCheckpointTest, BadPolicyValueIsRejected) {
   auto fs = dfs::MakeSimDfs(2, 16 * 1024);
   ASSERT_TRUE(workloads::GenerateText(*fs, "/in", 8 * 1024, 1, 3).ok());
   engine::M3REngine m3r(fs, engine::M3REngineOptions{Cluster4x2()});
-  api::JobConf job = workloads::MakeWordCountJob("/in", "/out", 1, true);
-  job.Set(api::conf::kCacheCheckpoint, "sometimes");
-  auto result = m3r.Submit(job);
-  EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.status.code(), StatusCode::kInvalidArgument)
-      << result.status.ToString();
+  // The policies are "off" and "tempout"; anything else is rejected.
+  for (const char* policy : {"sometimes", "all"}) {
+    api::JobConf job = workloads::MakeWordCountJob("/in", "/out", 1, true);
+    job.Set(api::conf::kCacheCheckpoint, policy);
+    auto result = m3r.Submit(job);
+    EXPECT_FALSE(result.ok()) << policy;
+    EXPECT_EQ(result.status.code(), StatusCode::kInvalidArgument)
+        << policy << ": " << result.status.ToString();
+  }
 }
 
 }  // namespace

@@ -33,7 +33,10 @@ class ConcatInOrderReducer : public api::mapred::Reducer,
     std::string joined;
     int last_seq = -1;
     while (values.HasNext()) {
-      const auto& v = static_cast<const Text&>(*values.Next());
+      // Hold the pointer: Next() returns the value by shared pointer, and a
+      // reference bound through a temporary would dangle past this line.
+      api::WritablePtr vp = values.Next();
+      const auto& v = static_cast<const Text&>(*vp);
       // Value format "<seq>:payload"; verify monotone sequence.
       int seq = std::stoi(v.Get());
       if (seq <= last_seq) {
