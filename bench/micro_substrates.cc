@@ -4,7 +4,9 @@
 // the engine-level numbers rest on.
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "kvstore/kv_store.h"
 #include "serialize/basic_writables.h"
@@ -45,19 +47,38 @@ BENCHMARK(BM_CloneRoundTrip)->Arg(64)->Arg(1024)->Arg(16384);
 
 void BM_DedupStreamRepeats(benchmark::State& state) {
   DedupMode mode = static_cast<DedupMode>(state.range(0));
-  auto payload =
-      std::make_shared<BytesWritable>(std::string(1024, 'p'));
+  const bool distinct = state.range(1) != 0;
+  // Repeats: one 1 KiB payload written 64 times, the broadcast shape.
+  // Distinct: 2048 small objects, no two alike (word keys and count
+  // values), the WordCount shape: the identity table never hits, so only
+  // its insert cost and the type lookups remain.
+  std::vector<serialize::WritablePtr> objects;
+  if (distinct) {
+    for (int i = 0; i < 1024; ++i) {
+      objects.push_back(std::make_shared<Text>("word" + std::to_string(i)));
+      objects.push_back(std::make_shared<IntWritable>(1));
+    }
+  } else {
+    objects.assign(64, std::make_shared<BytesWritable>(std::string(1024, 'p')));
+  }
   for (auto _ : state) {
     DedupOutputStream out(mode);
-    for (int i = 0; i < 64; ++i) out.WriteObject(payload);
+    for (const auto& obj : objects) out.WriteObject(obj);
     benchmark::DoNotOptimize(out.buffer().size());
   }
-  state.SetItemsProcessed(state.iterations() * 64);
-  state.SetLabel(mode == DedupMode::kOff
-                     ? "off"
-                     : (mode == DedupMode::kFull ? "full" : "consecutive"));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(objects.size()));
+  state.SetLabel(std::string(mode == DedupMode::kOff
+                                 ? "off"
+                                 : (mode == DedupMode::kFull ? "full"
+                                                             : "consecutive")) +
+                 (distinct ? " distinct" : " repeats"));
 }
-BENCHMARK(BM_DedupStreamRepeats)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_DedupStreamRepeats)
+    ->Args({0, 0})
+    ->Args({1, 0})
+    ->Args({2, 0})
+    ->Args({1, 1});
 
 void BM_KVStoreWriteReadBlock(benchmark::State& state) {
   kvstore::KVStore store(8);

@@ -2,7 +2,14 @@
 
 #include <sstream>
 
+#include "api/mr_api.h"
+
 namespace m3r::api {
+
+void ReportTally(Reporter& reporter, const char* group, const char* name,
+                 int64_t tally) {
+  if (tally != 0) reporter.IncrCounter(group, name, tally);
+}
 
 Counters::Counters(const Counters& other) { values_ = other.Snapshot(); }
 

@@ -8,6 +8,8 @@
 
 namespace m3r::api {
 
+class Reporter;
+
 /// Hadoop-style counters: (group, name) -> int64, incremented by user code
 /// through the Reporter/Context and by the engines for system counters.
 /// Both engines propagate user counters and keep the standard system
@@ -31,6 +33,14 @@ class Counters {
   mutable std::mutex mu_;
   std::map<std::pair<std::string, std::string>, int64_t> values_;
 };
+
+/// Reports an engine-side per-record tally once, at task or flush end:
+/// per-record paths count in a plain int64_t instead of paying a
+/// string-keyed, locked IncrCounter each. A zero tally is skipped so a
+/// counter no record touched stays absent, as it did when every record
+/// reported on its own.
+void ReportTally(Reporter& reporter, const char* group, const char* name,
+                 int64_t tally);
 
 /// Standard system counter group/name constants kept by both engines.
 namespace counters {

@@ -22,11 +22,13 @@ class DefaultMapRunner : public mapred::MapRunnable {
            Reporter& reporter) override {
     WritablePtr key = input.CreateKey();
     WritablePtr value = input.CreateValue();
+    int64_t records = 0;
     while (input.Next(*key, *value)) {
       mapper_->Map(key, value, output, reporter);
-      reporter.IncrCounter(counters::kTaskGroup, counters::kMapInputRecords,
-                           1);
+      ++records;
     }
+    ReportTally(reporter, counters::kTaskGroup, counters::kMapInputRecords,
+                records);
   }
 
  private:
@@ -42,14 +44,16 @@ class FreshMapRunner : public mapred::MapRunnable, public ImmutableOutput {
 
   void Run(RecordReader& input, OutputCollector& output,
            Reporter& reporter) override {
+    int64_t records = 0;
     for (;;) {
       WritablePtr key = input.CreateKey();
       WritablePtr value = input.CreateValue();
       if (!input.Next(*key, *value)) break;
       mapper_->Map(key, value, output, reporter);
-      reporter.IncrCounter(counters::kTaskGroup, counters::kMapInputRecords,
-                           1);
+      ++records;
     }
+    ReportTally(reporter, counters::kTaskGroup, counters::kMapInputRecords,
+                records);
   }
 
  private:
@@ -67,6 +71,12 @@ class ReaderMapContext : public mapreduce::MapContext {
         collector_(collector),
         reporter_(reporter),
         fresh_objects_(fresh_objects) {}
+  ReaderMapContext(const ReaderMapContext&) = delete;
+  ReaderMapContext& operator=(const ReaderMapContext&) = delete;
+  ~ReaderMapContext() override {
+    ReportTally(reporter_, counters::kTaskGroup, counters::kMapInputRecords,
+                records_);
+  }
 
   bool NextKeyValue() override {
     if (fresh_objects_ || !key_) {
@@ -74,8 +84,7 @@ class ReaderMapContext : public mapreduce::MapContext {
       value_ = reader_.CreateValue();
     }
     if (!reader_.Next(*key_, *value_)) return false;
-    reporter_.IncrCounter(counters::kTaskGroup, counters::kMapInputRecords,
-                          1);
+    ++records_;
     return true;
   }
   const WritablePtr& CurrentKey() const override { return key_; }
@@ -95,6 +104,7 @@ class ReaderMapContext : public mapreduce::MapContext {
   OutputCollector& collector_;
   Reporter& reporter_;
   bool fresh_objects_;
+  int64_t records_ = 0;
   WritablePtr key_;
   WritablePtr value_;
 };

@@ -19,18 +19,19 @@ namespace {
 /// where map output bypasses sort/shuffle entirely).
 class DirectWriteCollector : public api::OutputCollector {
  public:
-  DirectWriteCollector(api::RecordWriter* writer, api::Reporter* reporter)
-      : writer_(writer), reporter_(reporter) {}
+  explicit DirectWriteCollector(api::RecordWriter* writer)
+      : writer_(writer) {}
   void Collect(const api::WritablePtr& key,
                const api::WritablePtr& value) override {
     M3R_CHECK_OK(writer_->Write(*key, *value));
-    reporter_->IncrCounter(api::counters::kTaskGroup,
-                           api::counters::kMapOutputRecords, 1);
+    ++records_;
   }
+  /// MAP_OUTPUT_RECORDS so far, reported once when the task's map is done.
+  int64_t records() const { return records_; }
 
  private:
   api::RecordWriter* writer_;
-  api::Reporter* reporter_;
+  int64_t records_ = 0;
 };
 
 /// Hadoop-side MultipleOutputs sink: writes named outputs directly through
@@ -126,13 +127,15 @@ MapTaskResult RunHadoopMapTask(const api::JobConf& job_conf,
       return result;
     }
     std::unique_ptr<api::RecordWriter> writer = writer_or.take();
-    DirectWriteCollector collector(writer.get(), &reporter);
+    DirectWriteCollector collector(writer.get());
     result.status =
         api::RunMapTask(conf, *reader, collector, reporter,
                         api::MapRunnerMode::kHadoopDefault,
                         &immutable_unused);
     reader->Close();
     if (!result.status.ok()) return result;
+    api::ReportTally(reporter, api::counters::kTaskGroup,
+                     api::counters::kMapOutputRecords, collector.records());
     result.status = writer->Close();
     if (!result.status.ok()) return result;
     result.output_bytes = writer->BytesWritten() + named_sink.BytesWritten();

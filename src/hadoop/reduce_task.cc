@@ -16,18 +16,18 @@ namespace {
 
 class WriterCollector : public api::OutputCollector {
  public:
-  WriterCollector(api::RecordWriter* writer, api::Reporter* reporter)
-      : writer_(writer), reporter_(reporter) {}
+  explicit WriterCollector(api::RecordWriter* writer) : writer_(writer) {}
   void Collect(const api::WritablePtr& key,
                const api::WritablePtr& value) override {
     M3R_CHECK_OK(writer_->Write(*key, *value));
-    reporter_->IncrCounter(api::counters::kTaskGroup,
-                           api::counters::kReduceOutputRecords, 1);
+    ++records_;
   }
+  /// REDUCE_OUTPUT_RECORDS so far, reported once when the reduce is done.
+  int64_t records() const { return records_; }
 
  private:
   api::RecordWriter* writer_;
-  api::Reporter* reporter_;
+  int64_t records_ = 0;
 };
 
 class HadoopReduceNamedSink : public api::NamedOutputSink {
@@ -134,11 +134,13 @@ ReduceTaskResult RunHadoopReduceTask(
   api::ScopedNamedOutputSink scoped_sink(&named_sink);
 
   SegmentGroupSource groups(conf, &merged);
-  WriterCollector collector(writer.get(), &reporter);
+  WriterCollector collector(writer.get());
   bool immutable_unused = false;
   result.status = api::RunReduceTask(conf, groups, collector, reporter,
                                      &immutable_unused);
   if (!result.status.ok()) return result;
+  api::ReportTally(reporter, api::counters::kTaskGroup,
+                   api::counters::kReduceOutputRecords, collector.records());
   result.status = writer->Close();
   if (!result.status.ok()) return result;
   result.cpu_seconds = cpu.ElapsedSeconds();

@@ -83,13 +83,14 @@ void MapOutputBuffer::Collect(const api::WritablePtr& key,
   total_output_bytes_ += rec.key.size() + rec.value.size();
   ++total_records_;
   buffer_.push_back(std::move(rec));
-  reporter_->IncrCounter(api::counters::kTaskGroup,
-                         api::counters::kMapOutputRecords, 1);
   if (buffered_bytes_ >= buffer_limit_bytes_) SortAndSpill();
 }
 
 void MapOutputBuffer::Flush() {
   if (!buffer_.empty() || spills_.empty()) SortAndSpill();
+  api::ReportTally(*reporter_, api::counters::kTaskGroup,
+                   api::counters::kMapOutputRecords,
+                   static_cast<int64_t>(total_records_));
 }
 
 void MapOutputBuffer::SortAndSpill() {

@@ -87,7 +87,8 @@ class MapOutputBuffer : public api::OutputCollector {
   void Collect(const api::WritablePtr& key,
                const api::WritablePtr& value) override;
 
-  /// Final sort/combine/spill of the residual buffer.
+  /// Final sort/combine/spill of the residual buffer; also reports the
+  /// task's MAP_OUTPUT_RECORDS tally, so call it once, at task end.
   void Flush();
 
   /// Spills produced (in order). Valid after Flush().

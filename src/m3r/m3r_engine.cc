@@ -146,14 +146,6 @@ class TaskCounters {
   api::CountersReporter reporter_{&local_};
 };
 
-/// Reports an engine-side per-record tally once, at task or flush end. A
-/// zero tally is skipped so a counter no record touched stays absent, as
-/// it did when every record reported on its own.
-void ReportTally(api::Reporter& reporter, const char* group,
-                 const char* name, int64_t tally) {
-  if (tally != 0) reporter.IncrCounter(group, name, tally);
-}
-
 /// New-API MapContext over a cached pair sequence: keys/values are served
 /// as aliases of the cached objects — the zero-copy path.
 class SeqMapContext : public api::mapreduce::MapContext {
@@ -165,7 +157,7 @@ class SeqMapContext : public api::mapreduce::MapContext {
   SeqMapContext(const SeqMapContext&) = delete;
   SeqMapContext& operator=(const SeqMapContext&) = delete;
   ~SeqMapContext() override {
-    ReportTally(reporter_, api::counters::kTaskGroup,
+    api::ReportTally(reporter_, api::counters::kTaskGroup,
                 api::counters::kMapInputRecords,
                 static_cast<int64_t>(index_));
   }
@@ -229,7 +221,7 @@ Status FeedMapper(const JobConf& conf, const KVSeq& pairs,
       conf.Get(api::conf::kMapredMapper));
   mapper->Configure(conf);
   for (const auto& [k, v] : pairs) mapper->Map(k, v, collector, reporter);
-  ReportTally(reporter, api::counters::kTaskGroup,
+  api::ReportTally(reporter, api::counters::kTaskGroup,
               api::counters::kMapInputRecords,
               static_cast<int64_t>(pairs.size()));
   mapper->Close();
@@ -258,11 +250,11 @@ class CombiningShuffleCollector : public api::OutputCollector {
   CombiningShuffleCollector& operator=(const CombiningShuffleCollector&) =
       delete;
   ~CombiningShuffleCollector() override {
-    ReportTally(*reporter_, api::counters::kTaskGroup,
+    api::ReportTally(*reporter_, api::counters::kTaskGroup,
                 api::counters::kMapOutputRecords, output_records_);
-    ReportTally(*reporter_, api::counters::kM3rGroup,
+    api::ReportTally(*reporter_, api::counters::kM3rGroup,
                 api::counters::kClonedPairs, cloned_pairs_);
-    ReportTally(*reporter_, api::counters::kTaskGroup,
+    api::ReportTally(*reporter_, api::counters::kTaskGroup,
                 api::counters::kCombineOutputRecords,
                 combine_output_records_);
   }
@@ -344,7 +336,7 @@ class ShuffleCollector : public api::OutputCollector {
   ShuffleCollector(const ShuffleCollector&) = delete;
   ShuffleCollector& operator=(const ShuffleCollector&) = delete;
   ~ShuffleCollector() override {
-    ReportTally(*reporter_, api::counters::kTaskGroup,
+    api::ReportTally(*reporter_, api::counters::kTaskGroup,
                 api::counters::kMapOutputRecords, output_records_);
   }
 
@@ -379,7 +371,7 @@ class OutputSeqCollector : public api::OutputCollector {
   OutputSeqCollector(const OutputSeqCollector&) = delete;
   OutputSeqCollector& operator=(const OutputSeqCollector&) = delete;
   ~OutputSeqCollector() override {
-    ReportTally(*reporter_, api::counters::kTaskGroup, records_counter_,
+    api::ReportTally(*reporter_, api::counters::kTaskGroup, records_counter_,
                 records_);
   }
 

@@ -1,7 +1,7 @@
 #include "m3r/shuffle.h"
 
 #include <algorithm>
-#include <map>
+#include <string_view>
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
@@ -540,67 +540,99 @@ void ShuffleExchange::FlushLane(Lane* lane, const std::string& lane_key,
     return;
   }
 
-  // Decode in emission order, bucketed per partition; record bytes keep
-  // their serialized form so the run can merge, spill, and reload without
-  // touching the object layer again.
-  struct Bucket {
-    std::vector<std::string> keys;
-    std::vector<std::string> values;
-    std::string key_type;
-    std::string value_type;
+  // Walk the frame once, in emission order. Each record's run bytes are a
+  // slice of the verified frame — exactly what the sender's Write()
+  // produced — so sealing only has to find where each slice ends; no object
+  // is rebuilt and nothing is re-encoded. The run keeps the serialized form
+  // so it can merge, spill, and reload without touching the object layer.
+  struct Record {
+    int partition = 0;
+    uint32_t key_type = 0;
+    uint32_t value_type = 0;
+    std::string_view key;
+    std::string_view value;
   };
-  std::map<int, Bucket> buckets;
+  std::vector<Record> records;
+  std::vector<uint32_t> partition_counts(
+      static_cast<size_t>(num_partitions_), 0);
   serialize::DedupInputStream in(*served);
   while (!in.AtEnd()) {
-    int partition = static_cast<int>(in.ReadControl());
-    serialize::WritablePtr key = in.ReadObject();
-    serialize::WritablePtr value = in.ReadObject();
-    M3R_CHECK(partition >= 0 && partition < num_partitions_);
+    Record r;
+    r.partition = static_cast<int>(in.ReadControl());
+    r.key = in.ReadObjectBytes(&r.key_type);
+    r.value = in.ReadObjectBytes(&r.value_type);
+    M3R_CHECK(r.partition >= 0 && r.partition < num_partitions_);
     if (orphan) {
       // The lane was addressed to a dead place; its partitions have been
       // re-homed, so only require that the current home is alive.
       M3R_CHECK(dead_.empty() ||
-                !dead_[static_cast<size_t>(PlaceOfPartition(partition))]);
+                !dead_[static_cast<size_t>(PlaceOfPartition(r.partition))]);
     } else {
-      M3R_CHECK(PlaceOfPartition(partition) == dst_place);
+      M3R_CHECK(PlaceOfPartition(r.partition) == dst_place);
     }
-    Bucket& b = buckets[partition];
-    if (b.keys.empty()) {
-      b.key_type = key->TypeName();
-      b.value_type = value->TypeName();
-    }
-    b.keys.push_back(serialize::SerializeToString(*key));
-    b.values.push_back(serialize::SerializeToString(*value));
+    ++partition_counts[static_cast<size_t>(r.partition)];
+    records.push_back(r);
   }
-  recycle();
 
-  // Seal one sorted run per partition touched: sortkit prefix sort over
-  // the serialized keys (the custom comparator only when the job overrides
-  // byte order), then re-encode in sorted order.
+  // Group the records by partition, emission order kept within each
+  // (a counting sort over the partition ids).
+  std::vector<uint32_t> order(records.size());
+  std::vector<uint32_t> next(static_cast<size_t>(num_partitions_), 0);
+  for (size_t p = 1; p < next.size(); ++p) {
+    next[p] = next[p - 1] + partition_counts[p - 1];
+  }
+  for (uint32_t i = 0; i < records.size(); ++i) {
+    order[next[static_cast<size_t>(records[i].partition)]++] = i;
+  }
+
+  // Seal one sorted run per partition touched, in partition order: sortkit
+  // prefix sort over the key slices (the custom comparator only when the
+  // job overrides byte order), then copy the slices out in sorted order
+  // into a buffer of the run's exact size.
   const uint64_t version = map_.version();
-  for (auto& [partition, b] : buckets) {
-    std::vector<std::string_view> views(b.keys.begin(), b.keys.end());
-    sortkit::SortOptions sort_options;
-    sort_options.comparator = run_comparator_;
-    std::vector<uint32_t> perm =
-        sortkit::StableSortPermutation(views, sort_options);
-    serialize::DataOutput out;
-    for (uint32_t i : perm) {
-      out.WriteString(b.keys[i]);
-      out.WriteString(b.values[i]);
+  std::vector<std::string_view> keys;
+  sortkit::SortOptions sort_options;
+  sort_options.comparator = run_comparator_;
+  size_t begin = 0;
+  for (int partition = 0; partition < num_partitions_; ++partition) {
+    const uint32_t count = partition_counts[static_cast<size_t>(partition)];
+    if (count == 0) continue;
+    const uint32_t* members = order.data() + begin;
+    begin += count;
+    keys.clear();
+    size_t run_size = 0;
+    for (uint32_t m = 0; m < count; ++m) {
+      const Record& r = records[members[m]];
+      keys.push_back(r.key);
+      run_size += serialize::VarU64Size(r.key.size()) + r.key.size() +
+                  serialize::VarU64Size(r.value.size()) + r.value.size();
     }
+    std::vector<uint32_t> perm =
+        sortkit::StableSortPermutation(keys, sort_options);
+    std::string bytes;
+    bytes.reserve(run_size);
+    serialize::DataOutput out(&bytes);
+    for (uint32_t i : perm) {
+      const Record& r = records[members[i]];
+      out.WriteString(r.key);
+      out.WriteString(r.value);
+    }
+    const Record& first = records[members[0]];
     SortedRun run;
     run.src_place = src_place;
     run.worker_lane = worker;
     run.seq = seq;
     run.seq_last = seq;
     run.map_version = version;
-    run.records = b.keys.size();
-    run.bytes = out.Take();
-    run.key_type = std::move(b.key_type);
-    run.value_type = std::move(b.value_type);
+    run.records = count;
+    run.bytes = std::move(bytes);
+    run.key_type = in.TypeNameOf(first.key_type);
+    run.value_type = in.TypeNameOf(first.value_type);
     AppendRun(partition, std::move(run));
   }
+  // Every run is copied out; only now may the frame the spans point into
+  // go back to the pool.
+  recycle();
   runs_shipped_.fetch_add(1, std::memory_order_relaxed);
   record_cpu();
 }

@@ -272,7 +272,8 @@ class ShuffleExchange {
   Lane& LaneFor(int src, int dst, int worker);
   const Lane& LaneAt(int src, int dst, int worker) const;
   /// Seals the lane segment, ships it (fault + CRC checks at send time),
-  /// decodes it and appends one sorted run per partition touched.
+  /// and appends one sorted run per partition touched, cut straight from
+  /// the frame's wire bytes (no object is rebuilt per record).
   /// `orphan` lanes were addressed to a now-dead place, so the
   /// decoded-partition home check is against the current map's (alive)
   /// home instead of the delivering place. `barrier` marks the final drain;

@@ -93,6 +93,13 @@ class DataOutput {
   std::string* external_ = nullptr;
 };
 
+/// Bytes DataOutput::WriteVarU64 spends on `v`.
+inline size_t VarU64Size(uint64_t v) {
+  size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
+
 /// Cursor over a byte span, mirroring DataOutput. Bounds violations are
 /// engine bugs (corrupted shuffle/spill data) and abort via M3R_CHECK.
 class DataInput {

@@ -29,6 +29,7 @@
 #include "common/sort.h"
 #include "m3r/shuffle.h"
 #include "serialize/basic_writables.h"
+#include "serialize/dedup.h"
 #include "serialize/io.h"
 #include "serialize/writable.h"
 
@@ -351,6 +352,174 @@ TEST(PipelinedShuffleTest, DropDeadPlacesDiscardsDeadSourcesRuns) {
     ASSERT_TRUE(shuffle.CollectPartitionRuns(p, &runs).ok());
     for (const SortedRun& run : runs) {
       EXPECT_NE(run.src_place, dead) << "dead place's run survived";
+    }
+  }
+}
+
+/// Pair `j` of a strand whose values are broadcast: one value object goes
+/// to many partitions in a row, so under kFull its back-references cross
+/// the partitions of one lane frame. Some pairs are mutable (cloned at
+/// Emit, so never de-duplicated).
+PlannedPair BroadcastPair(int place, int lane, int j,
+                          std::vector<WritablePtr>* shared_values) {
+  if (j % 16 == 0) {
+    shared_values->push_back(std::make_shared<Text>(
+        "shared-" + std::to_string(place) + "." + std::to_string(lane) +
+        "." + std::to_string(j)));
+  }
+  WritablePtr value = shared_values->back();
+  if (j % 5 == 0) value = std::make_shared<Text>("own-" + std::to_string(j));
+  return {j % kPartitions, (j % 11) != 0,
+          std::make_shared<LongWritable>((7 * j + place) % 40), value};
+}
+
+/// One reference run: records in sorted order plus the record types.
+struct ReferenceRun {
+  std::vector<std::pair<std::string, std::string>> records;
+  std::string key_type;
+  std::string value_type;
+};
+using RunAddress = std::tuple<int, int, uint64_t, int>;  // src, lane, seq, p
+
+/// Seals `frame` the way runs were sealed before they were cut from wire
+/// bytes: rebuild every object (ReadObject), re-serialize it
+/// (SerializeToString), bucket per partition in emission order, and stable
+/// sort each bucket by its serialized keys.
+void SealTheOldWay(const std::string& frame, int src, int lane, uint64_t seq,
+                   std::map<RunAddress, ReferenceRun>* runs) {
+  std::map<int, ReferenceRun> buckets;
+  serialize::DedupInputStream in(frame);
+  while (!in.AtEnd()) {
+    const int partition = static_cast<int>(in.ReadControl());
+    WritablePtr key = in.ReadObject();
+    WritablePtr value = in.ReadObject();
+    ReferenceRun& b = buckets[partition];
+    if (b.records.empty()) {
+      b.key_type = key->TypeName();
+      b.value_type = value->TypeName();
+    }
+    b.records.emplace_back(SerializeToString(*key),
+                           SerializeToString(*value));
+  }
+  for (auto& [partition, b] : buckets) {
+    std::vector<std::string_view> keys;
+    for (const auto& record : b.records) keys.push_back(record.first);
+    std::vector<uint32_t> perm =
+        sortkit::StableSortPermutation(keys, sortkit::SortOptions());
+    ReferenceRun sorted;
+    sorted.key_type = b.key_type;
+    sorted.value_type = b.value_type;
+    for (uint32_t i : perm) sorted.records.push_back(b.records[i]);
+    (*runs)[{src, lane, seq, partition}] = std::move(sorted);
+  }
+}
+
+/// Replays the broadcast plan's remote emissions into per-lane dedup
+/// streams with the exchange's flush rule, sealing each frame the old way.
+std::map<RunAddress, ReferenceRun> ReferenceRuns(
+    const ShuffleExchange& shuffle, serialize::DedupMode mode,
+    size_t flush_bytes) {
+  std::map<RunAddress, ReferenceRun> runs;
+  for (int place = 0; place < kPlaces; ++place) {
+    for (int lane = 0; lane < kWorkers; ++lane) {
+      std::map<int, serialize::DedupOutputStream> streams;  // per dst
+      std::map<int, uint64_t> seqs;
+      std::vector<WritablePtr> shared_values;
+      for (int j = 0; j < kEmitsPerStrand; ++j) {
+        PlannedPair pair = BroadcastPair(place, lane, j, &shared_values);
+        const int dst = shuffle.PlaceOfPartition(pair.partition);
+        if (dst == place) continue;
+        serialize::DedupOutputStream& out =
+            streams.try_emplace(dst, mode).first->second;
+        out.WriteControl(static_cast<uint64_t>(pair.partition));
+        out.WriteObject(pair.immutable ? pair.key : pair.key->Clone());
+        out.WriteObject(pair.immutable ? pair.value : pair.value->Clone());
+        if (out.buffer().size() >= flush_bytes) {
+          SealTheOldWay(out.TakeBuffer(), place, lane, seqs[dst]++, &runs);
+          out = serialize::DedupOutputStream(mode);
+        }
+      }
+      for (auto& [dst, out] : streams) {
+        if (out.buffer().empty()) continue;
+        SealTheOldWay(out.TakeBuffer(), place, lane, seqs[dst]++, &runs);
+      }
+    }
+  }
+  return runs;
+}
+
+TEST(PipelinedShuffleTest, SealedRunsAreByteIdenticalToReserializedRuns) {
+  // Runs are cut straight from the lane frame's wire bytes; every one must
+  // equal what rebuilding and re-serializing each object would have
+  // sealed. A compacted run (seq < seq_last) must equal the stable merge
+  // of its members, i.e. the stable sort of their records in seq order.
+  for (serialize::DedupMode mode :
+       {serialize::DedupMode::kFull, serialize::DedupMode::kOff,
+        serialize::DedupMode::kConsecutive}) {
+    for (size_t flush_bytes : {kBarrierDrainFlushBytes, size_t{256}}) {
+      SCOPED_TRACE("mode " + std::to_string(static_cast<int>(mode)) +
+                   " flush " + std::to_string(flush_bytes));
+      ShuffleOptions opts = PipelinedOptions(flush_bytes);
+      opts.dedup_mode = mode;
+      ShuffleExchange shuffle(kPlaces, opts);
+      for (int place = 0; place < kPlaces; ++place) {
+        for (int lane = 0; lane < kWorkers; ++lane) {
+          std::vector<WritablePtr> shared_values;
+          for (int j = 0; j < kEmitsPerStrand; ++j) {
+            PlannedPair pair = BroadcastPair(place, lane, j, &shared_values);
+            shuffle.Emit(place, pair.partition, pair.key, pair.value,
+                         pair.immutable, lane);
+          }
+        }
+      }
+      for (int place = 0; place < kPlaces; ++place) shuffle.DeliverTo(place);
+      ASSERT_TRUE(shuffle.status().ok());
+      if (mode != serialize::DedupMode::kOff) {
+        EXPECT_GT(shuffle.ComputeStats().deduped_objects, 0u);
+      }
+
+      const std::map<RunAddress, ReferenceRun> reference =
+          ReferenceRuns(shuffle, mode, flush_bytes);
+      size_t matched = 0;
+      for (int p = 0; p < kPartitions; ++p) {
+        std::vector<SortedRun> runs;
+        ASSERT_TRUE(shuffle.CollectPartitionRuns(p, &runs).ok());
+        for (const SortedRun& run : runs) {
+          std::vector<std::pair<std::string, std::string>> records;
+          std::string key_type, value_type;
+          for (uint64_t seq = run.seq; seq <= run.seq_last; ++seq) {
+            auto it = reference.find({run.src_place, run.worker_lane, seq, p});
+            ASSERT_NE(it, reference.end())
+                << "no reference run " << run.src_place << "#"
+                << run.worker_lane << " seq " << seq << " p" << p;
+            ++matched;
+            records.insert(records.end(), it->second.records.begin(),
+                           it->second.records.end());
+            if (key_type.empty()) {
+              key_type = it->second.key_type;
+              value_type = it->second.value_type;
+            }
+          }
+          std::vector<std::string_view> keys;
+          for (const auto& record : records) keys.push_back(record.first);
+          serialize::DataOutput expected;
+          for (uint32_t i : sortkit::StableSortPermutation(
+                   keys, sortkit::SortOptions())) {
+            expected.WriteString(records[i].first);
+            expected.WriteString(records[i].second);
+          }
+          EXPECT_EQ(run.bytes, expected.buffer())
+              << "run " << run.src_place << "#" << run.worker_lane << " seq "
+              << run.seq << ".." << run.seq_last << " p" << p;
+          EXPECT_EQ(run.records, records.size());
+          EXPECT_EQ(run.key_type, key_type);
+          EXPECT_EQ(run.value_type, value_type);
+        }
+      }
+      EXPECT_EQ(matched, reference.size());
+      if (flush_bytes != kBarrierDrainFlushBytes) {
+        EXPECT_GT(shuffle.ComputeStats().runs_compacted, 0u);
+      }
     }
   }
 }

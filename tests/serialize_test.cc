@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -126,7 +127,8 @@ TEST(DedupTest, FullModeDeduplicatesRepeats) {
   EXPECT_EQ(out.objects_deduped(), 2u);
   EXPECT_GT(out.bytes_saved(), 0u);
 
-  DedupInputStream in(out.TakeBuffer());
+  const std::string frame = out.TakeBuffer();
+  DedupInputStream in(frame);
   auto a = in.ReadObject();
   auto b = in.ReadObject();
   auto c = in.ReadObject();
@@ -146,7 +148,8 @@ TEST(DedupTest, OffModeNeverDeduplicates) {
   out.WriteObject(shared);
   out.WriteObject(shared);
   EXPECT_EQ(out.objects_deduped(), 0u);
-  DedupInputStream in(out.TakeBuffer());
+  const std::string frame = out.TakeBuffer();
+  DedupInputStream in(frame);
   auto a = in.ReadObject();
   auto b = in.ReadObject();
   EXPECT_NE(a.get(), b.get());
@@ -165,7 +168,8 @@ TEST(DedupTest, ConsecutiveModeSeesOnlyAPairWindow) {
   out.WriteObject(shared);  // NOT deduped: outside the window
   EXPECT_EQ(out.objects_deduped(), 1u);
 
-  DedupInputStream in(out.TakeBuffer());
+  const std::string frame = out.TakeBuffer();
+  DedupInputStream in(frame);
   auto a = in.ReadObject();
   auto b = in.ReadObject();
   for (int i = 0; i < 5; ++i) in.ReadObject();
@@ -194,12 +198,138 @@ TEST(DedupTest, ControlVarintsInterleave) {
   out.WriteObject(std::make_shared<IntWritable>(1));
   out.WriteControl(9);
   out.WriteObject(std::make_shared<IntWritable>(2));
-  DedupInputStream in(out.TakeBuffer());
+  const std::string frame = out.TakeBuffer();
+  DedupInputStream in(frame);
   EXPECT_EQ(in.ReadControl(), 7u);
   EXPECT_EQ(static_cast<IntWritable&>(*in.ReadObject()).Get(), 1);
   EXPECT_EQ(in.ReadControl(), 9u);
   EXPECT_EQ(static_cast<IntWritable&>(*in.ReadObject()).Get(), 2);
   EXPECT_TRUE(in.AtEnd());
+}
+
+/// One object of every registered basic type, in a fixed order.
+std::vector<WritablePtr> OneOfEachBasicType(int salt) {
+  return {std::make_shared<NullWritable>(),
+          std::make_shared<BooleanWritable>(salt % 2 == 0),
+          std::make_shared<IntWritable>(-7 * salt),
+          std::make_shared<LongWritable>(int64_t{1} << (salt % 40)),
+          std::make_shared<DoubleWritable>(salt + 0.25),
+          std::make_shared<Text>("text-" + std::to_string(salt)),
+          std::make_shared<BytesWritable>(std::string(salt % 5, '\x01')),
+          std::make_shared<DoubleArrayWritable>(
+              std::vector<double>(static_cast<size_t>(salt % 4), -1.5)),
+          std::make_shared<PairIntWritable>(salt, -salt),
+          std::make_shared<GenericWritable>(
+              std::make_shared<Text>("inner-" + std::to_string(salt)))};
+}
+
+TEST(DedupTest, SpansEqualReserializedObjectsInEveryMode) {
+  // A frame mixing every basic type, a control varint before each object,
+  // and repeats of earlier objects (back-references under kFull, and
+  // under kConsecutive when the repeat is inside the window).
+  for (DedupMode mode :
+       {DedupMode::kFull, DedupMode::kOff, DedupMode::kConsecutive}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    std::vector<WritablePtr> written;
+    DedupOutputStream out(mode);
+    std::vector<WritablePtr> early = OneOfEachBasicType(0);
+    for (int round = 0; round < 3; ++round) {
+      for (const WritablePtr& obj : OneOfEachBasicType(round + 1)) {
+        written.push_back(obj);
+        written.push_back(obj);  // adjacent repeat: inside every window
+        written.push_back(early[written.size() % early.size()]);
+      }
+    }
+    for (size_t i = 0; i < written.size(); ++i) {
+      out.WriteControl(i * 37);
+      out.WriteObject(written[i]);
+    }
+    if (mode == DedupMode::kOff) {
+      EXPECT_EQ(out.objects_deduped(), 0u);
+    } else {
+      EXPECT_GT(out.objects_deduped(), 0u);
+    }
+    const std::string frame = out.TakeBuffer();
+
+    DedupInputStream objects(frame);
+    DedupInputStream spans(frame);
+    for (size_t i = 0; i < written.size(); ++i) {
+      ASSERT_EQ(objects.ReadControl(), i * 37);
+      ASSERT_EQ(spans.ReadControl(), i * 37);
+      WritablePtr obj = objects.ReadObject();
+      uint32_t type_id = 0;
+      std::string_view span = spans.ReadObjectBytes(&type_id);
+      EXPECT_EQ(span, SerializeToString(*obj)) << "object " << i;
+      EXPECT_EQ(span, SerializeToString(*written[i])) << "object " << i;
+      EXPECT_EQ(spans.TypeNameOf(type_id), obj->TypeName());
+      // Spans are slices of the caller's frame, never copies.
+      EXPECT_GE(span.data(), frame.data());
+      EXPECT_LE(span.data() + span.size(), frame.data() + frame.size());
+    }
+    EXPECT_TRUE(objects.AtEnd());
+    EXPECT_TRUE(spans.AtEnd());
+  }
+}
+
+TEST(DedupTest, FullModeTableGrowsPastTenThousandObjects) {
+  // 12,000 distinct objects, each third one followed by a repeat of one of
+  // the first hundred: the identity table must grow many times and still
+  // find the early objects.
+  constexpr int kDistinct = 12000;
+  std::vector<WritablePtr> distinct;
+  std::vector<WritablePtr> written;
+  for (int i = 0; i < kDistinct; ++i) {
+    distinct.push_back(std::make_shared<LongWritable>(i));
+    written.push_back(distinct.back());
+    if (i % 3 == 2) written.push_back(distinct[static_cast<size_t>(i % 100)]);
+  }
+  DedupOutputStream out(DedupMode::kFull);
+  for (const WritablePtr& obj : written) out.WriteObject(obj);
+  const uint64_t repeats = written.size() - kDistinct;
+  EXPECT_EQ(out.objects_written(), written.size());
+  EXPECT_EQ(out.objects_deduped(), repeats);
+  EXPECT_EQ(out.bytes_saved(), repeats * LongWritable().SerializedSize());
+  const std::string frame = out.TakeBuffer();
+
+  DedupInputStream objects(frame);
+  DedupInputStream spans(frame);
+  std::vector<const Writable*> first_copy(kDistinct, nullptr);
+  for (const WritablePtr& obj : written) {
+    const int64_t v = static_cast<LongWritable&>(*obj).Get();
+    WritablePtr read = objects.ReadObject();
+    ASSERT_EQ(static_cast<LongWritable&>(*read).Get(), v);
+    // Every repeat aliases the first copy decoded.
+    const Writable*& first = first_copy[static_cast<size_t>(v)];
+    if (first == nullptr) first = read.get();
+    EXPECT_EQ(read.get(), first);
+    uint32_t type_id = 0;
+    EXPECT_EQ(spans.ReadObjectBytes(&type_id), SerializeToString(*obj));
+  }
+  EXPECT_TRUE(objects.AtEnd());
+  EXPECT_TRUE(spans.AtEnd());
+}
+
+TEST(DedupDeathTest, OneStreamIsReadOneWayOnly) {
+  DedupOutputStream out(DedupMode::kFull);
+  out.WriteObject(std::make_shared<IntWritable>(1));
+  out.WriteObject(std::make_shared<IntWritable>(2));
+  const std::string frame = out.TakeBuffer();
+  EXPECT_DEATH(
+      {
+        DedupInputStream in(frame);
+        in.ReadObject();
+        uint32_t type_id;
+        in.ReadObjectBytes(&type_id);
+      },
+      "objects or as spans");
+  EXPECT_DEATH(
+      {
+        DedupInputStream in(frame);
+        uint32_t type_id;
+        in.ReadObjectBytes(&type_id);
+        in.ReadObject();
+      },
+      "objects or as spans");
 }
 
 TEST(ComparatorTest, RegistryAndDeserializing) {
