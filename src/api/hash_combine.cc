@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "api/counters.h"
+#include "api/map_output_arena.h"
 #include "api/task_runner.h"
 #include "common/logging.h"
 #include "serialize/comparators.h"
@@ -21,52 +22,6 @@ uint64_t HashBytes(std::string_view bytes) {
   }
   return h;
 }
-
-/// GroupSource presenting exactly one group: a deserialized key plus its
-/// pending serialized values, deserialized lazily as the combiner pulls.
-class SingleGroupSource : public GroupSource {
- public:
-  SingleGroupSource(const serialize::WritableRegistry::Factory& make_key,
-                    const serialize::WritableRegistry::Factory& make_value,
-                    const std::string& key_bytes,
-                    const std::vector<std::string>* values)
-      : make_value_(make_value), values_(values) {
-    key_ = make_key();
-    serialize::DeserializeFromString(key_bytes, key_.get());
-  }
-
-  bool NextGroup() override {
-    if (consumed_) return false;
-    consumed_ = true;
-    return true;
-  }
-  const WritablePtr& Key() const override { return key_; }
-  ValuesIterator& Values() override { return iter_; }
-
- private:
-  class Iter : public ValuesIterator {
-   public:
-    explicit Iter(SingleGroupSource* src) : src_(src) {}
-    bool HasNext() override { return pos_ < src_->values_->size(); }
-    WritablePtr Next() override {
-      M3R_CHECK(HasNext()) << "values iterator exhausted";
-      auto value = src_->make_value_();
-      serialize::DeserializeFromString((*src_->values_)[pos_++],
-                                       value.get());
-      return value;
-    }
-
-   private:
-    SingleGroupSource* src_;
-    size_t pos_ = 0;
-  };
-
-  const serialize::WritableRegistry::Factory& make_value_;
-  const std::vector<std::string>* values_;
-  WritablePtr key_;
-  bool consumed_ = false;
-  Iter iter_{this};
-};
 
 /// Captures combiner output, re-serialized.
 class CaptureCollector : public OutputCollector {
@@ -103,15 +58,13 @@ HashCombineCollector::HashCombineCollector(const JobConf& conf,
       downstream_(downstream),
       reporter_(reporter),
       memory_gauge_(memory_gauge),
+      factories_(conf),
+      grouping_(GroupingComparator(conf)),
       budget_bytes_(static_cast<size_t>(
           conf.GetDouble(conf::kMapHashCombineMemoryMb, 64.0) *
           static_cast<double>(size_t{1} << 20))),
       slots_(64, -1) {
   M3R_CHECK(Eligible(conf)) << "hash combine on an ineligible job";
-  make_key_ =
-      serialize::WritableRegistry::Instance().Resolve(conf.MapOutputKeyClass());
-  make_value_ = serialize::WritableRegistry::Instance().Resolve(
-      conf.MapOutputValueClass());
 }
 
 HashCombineCollector::~HashCombineCollector() {
@@ -199,8 +152,16 @@ void HashCombineCollector::FoldEntry(Entry* entry) {
   for (const std::string& v : entry->values) {
     old_bytes += v.size() + kValueOverhead;
   }
-  SingleGroupSource group(make_key_, make_value_, entry->key_bytes,
-                          &entry->values);
+  // One group: every pending value shares the entry's key bytes.
+  size_t next = 0;
+  SpanGroupSource group(
+      grouping_, factories_,
+      [entry, &next](std::string_view* key, std::string_view* value) {
+        if (next == entry->values.size()) return false;
+        *key = entry->key_bytes;
+        *value = entry->values[next++];
+        return true;
+      });
   std::vector<std::pair<std::string, std::string>> combined;
   CaptureCollector capture(&combined);
   reporter_->IncrCounter(counters::kTaskGroup,
@@ -238,9 +199,9 @@ void HashCombineCollector::FoldEntry(Entry* entry) {
 
 void HashCombineCollector::EmitSerialized(const std::string& key_bytes,
                                           const std::string& value_bytes) {
-  auto key = make_key_();
+  auto key = factories_.key();
   serialize::DeserializeFromString(key_bytes, key.get());
-  auto value = make_value_();
+  auto value = factories_.value();
   serialize::DeserializeFromString(value_bytes, value.get());
   ++emitted_;
   downstream_->Collect(key, value);

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "api/job_conf.h"
+#include "api/map_output_arena.h"
 #include "api/mr_api.h"
 #include "common/status.h"
 #include "serialize/registry.h"
@@ -115,9 +116,8 @@ class HashCombineCollector : public OutputCollector {
   Reporter* reporter_;
   std::atomic<int64_t>* memory_gauge_;
   int64_t gauge_reported_ = 0;
-  /// Map output key/value factories, resolved once at construction.
-  serialize::WritableRegistry::Factory make_key_;
-  serialize::WritableRegistry::Factory make_value_;
+  const MapOutputFactories factories_;
+  const serialize::RawComparatorPtr grouping_;  // the byte default
   size_t budget_bytes_;
 
   /// Open-addressing index: slot -> entry index, -1 empty. Linear probing.

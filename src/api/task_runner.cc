@@ -261,6 +261,17 @@ serialize::RawComparatorPtr GroupingComparator(const JobConf& conf) {
   return SortComparator(conf);
 }
 
+const sortkit::RawCompareFn* SortkitOrder(
+    const serialize::RawComparatorPtr& cmp, sortkit::RawCompareFn* storage) {
+  if (std::string_view(cmp->Name()) == serialize::BytesComparator::kName) {
+    return nullptr;
+  }
+  *storage = [c = cmp.get()](std::string_view a, std::string_view b) {
+    return c->Compare(a, b);
+  };
+  return storage;
+}
+
 std::shared_ptr<Partitioner> MakePartitioner(const JobConf& conf) {
   auto partitioner = ObjectRegistry<Partitioner>::Instance().Create(
       conf.Get(conf::kPartitioner, HashPartitioner::kClassName));
@@ -278,10 +289,6 @@ std::shared_ptr<OutputFormat> MakeOutputFormat(const JobConf& conf) {
       conf.Get(conf::kOutputFormat, TextOutputFormat::kClassName));
 }
 
-void SortPairs(const JobConf& conf, std::vector<KeyedPair>* pairs) {
-  SortPairs(conf, pairs, SortOptions{}, nullptr);
-}
-
 void SortPairs(const JobConf& conf, std::vector<KeyedPair>* pairs,
                const SortOptions& options, SortStats* stats) {
   if (stats != nullptr) *stats = SortStats{};
@@ -294,12 +301,7 @@ void SortPairs(const JobConf& conf, std::vector<KeyedPair>* pairs,
 
   sortkit::SortOptions kopts;
   sortkit::RawCompareFn custom;
-  if (std::string_view(cmp->Name()) != serialize::BytesComparator::kName) {
-    custom = [&cmp](std::string_view a, std::string_view b) {
-      return cmp->Compare(a, b);
-    };
-    kopts.comparator = &custom;
-  }
+  kopts.comparator = SortkitOrder(cmp, &custom);
   kopts.executor = options.executor;
   kopts.max_workers = options.max_workers;
 
@@ -318,12 +320,8 @@ void SortPairs(const JobConf& conf, std::vector<KeyedPair>* pairs,
 
 SortedPairsGroupSource::SortedPairsGroupSource(
     const JobConf& conf, const std::vector<KeyedPair>* pairs)
-    : SortedPairsGroupSource(GroupingComparator(conf), pairs) {}
-
-SortedPairsGroupSource::SortedPairsGroupSource(
-    serialize::RawComparatorPtr grouping, const std::vector<KeyedPair>* pairs)
     : pairs_(pairs),
-      grouping_(std::move(grouping)),
+      grouping_(GroupingComparator(conf)),
       grouping_is_bytes_(std::string_view(grouping_->Name()) ==
                          serialize::BytesComparator::kName) {}
 

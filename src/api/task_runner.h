@@ -10,6 +10,7 @@
 #include "api/mr_api.h"
 #include "api/output_format.h"
 #include "common/executor.h"
+#include "common/sort.h"
 #include "serialize/comparators.h"
 
 namespace m3r::api {
@@ -84,9 +85,8 @@ struct SortStats {
 /// emission order within equal keys, as Hadoop's sort does). Runs on the
 /// prefix-cached kernel in common/sort.h; the virtual comparator is only
 /// consulted when the job overrides the BytesComparator default.
-void SortPairs(const JobConf& conf, std::vector<KeyedPair>* pairs);
 void SortPairs(const JobConf& conf, std::vector<KeyedPair>* pairs,
-               const SortOptions& options, SortStats* stats = nullptr);
+               const SortOptions& options = {}, SortStats* stats = nullptr);
 
 /// GroupSource over sorted in-memory pairs, applying the job's grouping
 /// comparator (secondary-sort semantics: one reduce call per group of keys
@@ -95,10 +95,6 @@ void SortPairs(const JobConf& conf, std::vector<KeyedPair>* pairs,
 class SortedPairsGroupSource : public GroupSource {
  public:
   SortedPairsGroupSource(const JobConf& conf,
-                         const std::vector<KeyedPair>* pairs);
-  /// Groups with an explicit comparator (e.g. combine groups with the sort
-  /// comparator regardless of the user's grouping comparator).
-  SortedPairsGroupSource(serialize::RawComparatorPtr grouping,
                          const std::vector<KeyedPair>* pairs);
   bool NextGroup() override;
   const WritablePtr& Key() const override;
@@ -131,6 +127,11 @@ class SortedPairsGroupSource : public GroupSource {
 serialize::RawComparatorPtr SortComparator(const JobConf& conf);
 /// Resolves the grouping comparator (default: the sort comparator).
 serialize::RawComparatorPtr GroupingComparator(const JobConf& conf);
+/// `cmp` in the form sortkit takes: null under the raw byte default (the
+/// prefix path); otherwise `storage`, set to call `cmp`, which must outlive
+/// it.
+const sortkit::RawCompareFn* SortkitOrder(
+    const serialize::RawComparatorPtr& cmp, sortkit::RawCompareFn* storage);
 
 /// Creates the job's partitioner (default HashPartitioner), configured.
 std::shared_ptr<Partitioner> MakePartitioner(const JobConf& conf);

@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "api/class_registry.h"
+#include "api/map_output_arena.h"
 #include "api/multiple_io.h"
 #include "api/output_format.h"
 #include "api/task_runner.h"
@@ -133,7 +134,13 @@ ReduceTaskResult RunHadoopReduceTask(
   HadoopReduceNamedSink named_sink(conf, fs, partition, node);
   api::ScopedNamedOutputSink scoped_sink(&named_sink);
 
-  SegmentGroupSource groups(conf, &merged);
+  const api::MapOutputFactories factories(conf);
+  SegmentReader reader(&merged);
+  api::SpanGroupSource groups(
+      api::GroupingComparator(conf), factories,
+      [&reader](std::string_view* key, std::string_view* value) {
+        return reader.Next(key, value);
+      });
   WriterCollector collector(writer.get());
   bool immutable_unused = false;
   result.status = api::RunReduceTask(conf, groups, collector, reporter,

@@ -3,39 +3,11 @@
 #include <algorithm>
 
 #include "api/counters.h"
-#include "common/sort.h"
 #include "common/stopwatch.h"
-#include "serialize/registry.h"
 
 namespace m3r::hadoop {
 
 namespace {
-
-using api::KeyedPair;
-using serialize::WritableRegistry;
-
-/// Deserializes a sorted range of serialized records into KeyedPairs so the
-/// combiner can run over them.
-std::vector<KeyedPair> DeserializeRange(
-    const api::JobConf& conf,
-    const std::vector<std::pair<std::string, std::string>>& records) {
-  const WritableRegistry::Factory make_key =
-      WritableRegistry::Instance().Resolve(conf.MapOutputKeyClass());
-  const WritableRegistry::Factory make_value =
-      WritableRegistry::Instance().Resolve(conf.MapOutputValueClass());
-  std::vector<KeyedPair> out;
-  out.reserve(records.size());
-  for (const auto& [kbytes, vbytes] : records) {
-    KeyedPair p;
-    p.key_bytes = kbytes;
-    p.key = make_key();
-    serialize::DeserializeFromString(kbytes, p.key.get());
-    p.value = make_value();
-    serialize::DeserializeFromString(vbytes, p.value.get());
-    out.push_back(std::move(p));
-  }
-  return out;
-}
 
 /// Collector that re-serializes combiner output into a segment.
 class SegmentCollector : public api::OutputCollector {
@@ -63,117 +35,69 @@ MapOutputBuffer::MapOutputBuffer(const api::JobConf& conf, int num_partitions,
       partitioner_(api::MakePartitioner(conf)),
       sort_cmp_(api::SortComparator(conf)),
       buffer_limit_bytes_(static_cast<uint64_t>(
-          conf.GetInt(kSortBufferBytesKey, kDefaultSortBufferBytes))) {}
+          conf.GetInt(kSortBufferBytesKey, kDefaultSortBufferBytes))),
+      arena_(std::max(num_partitions, 1)) {
+  if (conf.HasCombiner()) factories_.emplace(conf);
+}
 
 void MapOutputBuffer::Collect(const api::WritablePtr& key,
                               const api::WritablePtr& value) {
   // The HMR contract: output is serialized immediately, so the caller is
   // free to mutate and reuse the objects afterwards.
-  BufferedRecord rec;
-  rec.partition = num_partitions_ > 0
-                      ? partitioner_->GetPartition(*key, *value,
-                                                   num_partitions_)
-                      : 0;
-  M3R_CHECK(rec.partition >= 0 &&
-            (num_partitions_ == 0 || rec.partition < num_partitions_))
-      << "partitioner returned " << rec.partition;
-  rec.key = serialize::SerializeToString(*key);
-  rec.value = serialize::SerializeToString(*value);
-  buffered_bytes_ += rec.key.size() + rec.value.size();
-  total_output_bytes_ += rec.key.size() + rec.value.size();
+  const int partition =
+      num_partitions_ > 0
+          ? partitioner_->GetPartition(*key, *value, num_partitions_)
+          : 0;
+  M3R_CHECK(partition >= 0 &&
+            (num_partitions_ == 0 || partition < num_partitions_))
+      << "partitioner returned " << partition;
+  const uint64_t before = arena_.bytes();
+  arena_.Add(partition, *key, *value);
+  total_output_bytes_ += arena_.bytes() - before;
   ++total_records_;
-  buffer_.push_back(std::move(rec));
-  if (buffered_bytes_ >= buffer_limit_bytes_) SortAndSpill();
+  if (arena_.bytes() >= buffer_limit_bytes_) SortAndSpill();
 }
 
 void MapOutputBuffer::Flush() {
-  if (!buffer_.empty() || spills_.empty()) SortAndSpill();
+  if (arena_.records() > 0 || spills_.empty()) SortAndSpill();
   api::ReportTally(*reporter_, api::counters::kTaskGroup,
                    api::counters::kMapOutputRecords,
                    static_cast<int64_t>(total_records_));
 }
 
 void MapOutputBuffer::SortAndSpill() {
-  // Hadoop's in-buffer (partition, key) sort before spilling. The
-  // partition component is a stable counting sort (partitions are small
-  // dense ints); keys within each partition bucket go through the shared
-  // prefix kernel, hitting the virtual comparator only for non-default
-  // sort orders.
+  // Hadoop's in-buffer (partition, key) sort before spilling.
   CpuStopwatch sort_sw;
-  const size_t parts = static_cast<size_t>(std::max(num_partitions_, 1));
-  std::vector<uint32_t> offsets(parts + 1, 0);
-  for (const BufferedRecord& r : buffer_) {
-    ++offsets[static_cast<size_t>(r.partition) + 1];
-  }
-  for (size_t p = 0; p < parts; ++p) offsets[p + 1] += offsets[p];
-  std::vector<uint32_t> order(buffer_.size());
-  {
-    std::vector<uint32_t> cursor(offsets.begin(), offsets.end() - 1);
-    for (uint32_t i = 0; i < buffer_.size(); ++i) {
-      order[cursor[static_cast<size_t>(buffer_[i].partition)]++] = i;
-    }
-  }
-  const bool bytes_order =
-      std::string_view(sort_cmp_->Name()) == serialize::BytesComparator::kName;
   sortkit::RawCompareFn custom;
-  if (!bytes_order) {
-    custom = [this](std::string_view a, std::string_view b) {
-      return sort_cmp_->Compare(a, b);
-    };
-  }
-  std::vector<std::string_view> keys;
-  for (size_t p = 0; p < parts; ++p) {
-    const size_t lo = offsets[p];
-    const size_t hi = offsets[p + 1];
-    if (hi - lo < 2) continue;
-    keys.clear();
-    keys.reserve(hi - lo);
-    for (size_t k = lo; k < hi; ++k) {
-      keys.emplace_back(buffer_[order[k]].key);
-    }
-    sortkit::SortOptions kopts;  // per-spill sorts stay on the task thread
-    if (!bytes_order) kopts.comparator = &custom;
-    std::vector<uint32_t> perm = sortkit::StableSortPermutation(keys, kopts);
-    std::vector<uint32_t> sorted(hi - lo);
-    for (size_t j = 0; j < perm.size(); ++j) sorted[j] = order[lo + perm[j]];
-    std::copy(sorted.begin(), sorted.end(),
-              order.begin() + static_cast<ptrdiff_t>(lo));
-  }
+  arena_.Sort(api::SortkitOrder(sort_cmp_, &custom));
   sort_seconds_ += sort_sw.ElapsedSeconds();
 
+  const int parts = std::max(num_partitions_, 1);
   Spill spill;
-  spill.partition_segments.resize(parts);
-  bool combine = conf_.HasCombiner();
-  for (size_t p = 0; p < parts; ++p) {
-    const size_t lo = offsets[p];
-    const size_t hi = offsets[p + 1];
-    if (lo == hi) continue;
+  spill.partition_segments.resize(static_cast<size_t>(parts));
+  for (int p = 0; p < parts; ++p) {
+    const size_t records = arena_.PartitionRecords(p);
+    if (records == 0) continue;
 
-    SegmentWriter segment;
-    if (combine) {
-      std::vector<std::pair<std::string, std::string>> records;
-      records.reserve(hi - lo);
-      for (size_t k = lo; k < hi; ++k) {
-        records.emplace_back(buffer_[order[k]].key, buffer_[order[k]].value);
-      }
-      std::vector<KeyedPair> pairs = DeserializeRange(conf_, records);
+    std::string& bytes = spill.partition_segments[static_cast<size_t>(p)];
+    if (factories_) {
       reporter_->IncrCounter(api::counters::kTaskGroup,
                              api::counters::kCombineInputRecords,
-                             static_cast<int64_t>(pairs.size()));
-      api::SortedPairsGroupSource groups(sort_cmp_, &pairs);
+                             static_cast<int64_t>(records));
+      api::SpanGroupSource groups(sort_cmp_, *factories_, arena_.Partition(p));
+      SegmentWriter segment;
       SegmentCollector collector(&segment);
       M3R_CHECK_OK(api::RunCombine(conf_, groups, collector, *reporter_));
       reporter_->IncrCounter(api::counters::kTaskGroup,
                              api::counters::kCombineOutputRecords,
                              static_cast<int64_t>(segment.records()));
+      spill.records += segment.records();
+      bytes = segment.Take();
     } else {
-      for (size_t k = lo; k < hi; ++k) {
-        segment.Add(buffer_[order[k]].key, buffer_[order[k]].value);
-      }
+      spill.records += records;
+      bytes = arena_.PartitionRun(p);
     }
-    spill.records += segment.records();
-    spill.bytes += segment.size();
-    spill.partition_segments[p] = segment.Take();
+    spill.bytes += bytes.size();
   }
 
   spilled_records_ += spill.records;
@@ -187,8 +111,7 @@ void MapOutputBuffer::SortAndSpill() {
                          api::counters::kSpilledRecords,
                          static_cast<int64_t>(spill.records));
   spills_.push_back(std::move(spill));
-  buffer_.clear();
-  buffered_bytes_ = 0;
+  arena_.Clear();
 }
 
 }  // namespace m3r::hadoop

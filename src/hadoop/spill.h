@@ -3,11 +3,13 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "api/job_conf.h"
+#include "api/map_output_arena.h"
 #include "api/mr_api.h"
 #include "api/task_runner.h"
 #include "common/integrity.h"
@@ -15,12 +17,6 @@
 #include "serialize/io.h"
 
 namespace m3r::hadoop {
-
-/// One serialized map-output record.
-struct Record {
-  std::string key;
-  std::string value;
-};
 
 /// Byte format for one sorted run of records belonging to one partition:
 /// repeated (varint key length, key bytes, varint value length, value
@@ -45,8 +41,7 @@ class SegmentWriter {
 /// Streams records back out of a segment buffer.
 class SegmentReader {
  public:
-  explicit SegmentReader(const std::string* bytes)
-      : bytes_(bytes), in_(*bytes) {}
+  explicit SegmentReader(const std::string* bytes) : in_(*bytes) {}
   bool Next(std::string_view* key, std::string_view* value) {
     if (in_.AtEnd()) return false;
     *key = in_.ReadStringView();
@@ -55,7 +50,6 @@ class SegmentReader {
   }
 
  private:
-  const std::string* bytes_;
   serialize::DataInput in_;
 };
 
@@ -73,11 +67,12 @@ struct Spill {
 };
 
 /// Hadoop's map-side collector: serializes every collected pair
-/// immediately (the API contract that forces object-reuse semantics),
-/// buffers records per partition, and sorts+spills when the buffer exceeds
-/// io.sort.mb. The job's combiner runs on every spill. Under a non-null
-/// integrity context each spilled segment is CRC32C-stamped, like the
-/// checksums Hadoop writes next to intermediate files.
+/// immediately into the shared map-output arena (the API contract that
+/// forces object-reuse semantics), and sorts+spills when the arena exceeds
+/// io.sort.mb. The job's combiner runs on every spill, over byte spans.
+/// Under a non-null integrity context each spilled segment is
+/// CRC32C-stamped, like the checksums Hadoop writes next to intermediate
+/// files.
 class MapOutputBuffer : public api::OutputCollector {
  public:
   MapOutputBuffer(const api::JobConf& conf, int num_partitions,
@@ -103,12 +98,6 @@ class MapOutputBuffer : public api::OutputCollector {
   double sort_seconds() const { return sort_seconds_; }
 
  private:
-  struct BufferedRecord {
-    int partition;
-    std::string key;
-    std::string value;
-  };
-
   void SortAndSpill();
 
   const api::JobConf& conf_;
@@ -118,10 +107,11 @@ class MapOutputBuffer : public api::OutputCollector {
   std::shared_ptr<api::Partitioner> partitioner_;
   serialize::RawComparatorPtr sort_cmp_;
   uint64_t buffer_limit_bytes_;
+  /// Resolved only for jobs with a combiner.
+  std::optional<api::MapOutputFactories> factories_;
 
-  std::vector<BufferedRecord> buffer_;
+  api::MapOutputArena arena_;
   double sort_seconds_ = 0;
-  uint64_t buffered_bytes_ = 0;
   uint64_t total_output_bytes_ = 0;
   uint64_t total_records_ = 0;
   uint64_t spilled_records_ = 0;

@@ -16,6 +16,7 @@
 #include "api/class_registry.h"
 #include "api/distributed_cache.h"
 #include "api/hash_combine.h"
+#include "api/map_output_arena.h"
 #include "api/multiple_io.h"
 #include "api/output_format.h"
 #include "api/task_runner.h"
@@ -228,24 +229,31 @@ Status FeedMapper(const JobConf& conf, const KVSeq& pairs,
   return Status::OK();
 }
 
-/// Buffers one map task's output, runs the job's combiner per partition,
-/// and forwards the combined pairs into the shuffle — M3R's equivalent of
-/// Hadoop combining each spill. Combiner output objects are created inside
-/// the combine call, so their immutability is governed by the combiner
-/// class's own ImmutableOutput promise.
+/// Buffers one map task's output in the shared map-output arena, runs the
+/// job's combiner per partition, and forwards the combined pairs into the
+/// shuffle — M3R's equivalent of Hadoop combining each spill. Collect
+/// serializes, so a mutable mapper's pair is copied once, into the arena,
+/// and the combiner always reads freshly rebuilt objects. Its output objects
+/// are created inside the combine call, so their immutability is governed
+/// by the combiner class's own ImmutableOutput promise.
 class CombiningShuffleCollector : public api::OutputCollector {
  public:
+  /// `sort_cmp` is the job's sort comparator and `order` its sortkit form
+  /// (null for the raw byte default); `order` must outlive the collector.
   CombiningShuffleCollector(const JobConf& conf, ShuffleExchange* shuffle,
                             api::Partitioner* partitioner, int src_place,
                             int worker_lane, int num_partitions,
                             bool mapper_immutable, bool combiner_immutable,
+                            serialize::RawComparatorPtr sort_cmp,
+                            const sortkit::RawCompareFn* order,
                             api::Reporter* reporter)
       : conf_(conf), shuffle_(shuffle), partitioner_(partitioner),
         src_place_(src_place), worker_lane_(worker_lane),
-        num_partitions_(num_partitions),
+        num_partitions_(num_partitions), sort_cmp_(std::move(sort_cmp)),
+        order_(order),
         mapper_immutable_(mapper_immutable),
         combiner_immutable_(combiner_immutable), reporter_(reporter),
-        buffered_(static_cast<size_t>(num_partitions)) {}
+        factories_(conf), arena_(num_partitions) {}
   CombiningShuffleCollector(const CombiningShuffleCollector&) = delete;
   CombiningShuffleCollector& operator=(const CombiningShuffleCollector&) =
       delete;
@@ -255,6 +263,8 @@ class CombiningShuffleCollector : public api::OutputCollector {
     api::ReportTally(*reporter_, api::counters::kM3rGroup,
                 api::counters::kClonedPairs, cloned_pairs_);
     api::ReportTally(*reporter_, api::counters::kTaskGroup,
+                api::counters::kCombineInputRecords, combine_input_records_);
+    api::ReportTally(*reporter_, api::counters::kTaskGroup,
                 api::counters::kCombineOutputRecords,
                 combine_output_records_);
   }
@@ -263,12 +273,9 @@ class CombiningShuffleCollector : public api::OutputCollector {
     int partition =
         partitioner_->GetPartition(*key, *value, num_partitions_);
     M3R_CHECK(partition >= 0 && partition < num_partitions_);
-    api::KeyedPair kp;
-    kp.key = mapper_immutable_ ? key : key->Clone();
-    kp.value = mapper_immutable_ ? value : value->Clone();
+    // Without ImmutableOutput the serialization is the pair's copy.
     if (!mapper_immutable_) ++cloned_pairs_;
-    kp.key_bytes = serialize::SerializeToString(*kp.key);
-    buffered_[static_cast<size_t>(partition)].push_back(std::move(kp));
+    arena_.Add(partition, *key, *value);
     ++output_records_;
   }
 
@@ -290,20 +297,16 @@ class CombiningShuffleCollector : public api::OutputCollector {
       int partition_;
     };
 
-    auto sort_cmp = api::SortComparator(conf_);
+    arena_.Sort(order_);
     for (int p = 0; p < num_partitions_; ++p) {
-      std::vector<api::KeyedPair>& pairs =
-          buffered_[static_cast<size_t>(p)];
-      if (pairs.empty()) continue;
-      reporter_->IncrCounter(api::counters::kTaskGroup,
-                             api::counters::kCombineInputRecords,
-                             static_cast<int64_t>(pairs.size()));
-      api::SortPairs(conf_, &pairs);
-      api::SortedPairsGroupSource groups(sort_cmp, &pairs);
+      const size_t records = arena_.PartitionRecords(p);
+      if (records == 0) continue;
+      combine_input_records_ += static_cast<int64_t>(records);
+      api::SpanGroupSource groups(sort_cmp_, factories_, arena_.Partition(p));
       EmitCollector emit(this, p);
       M3R_RETURN_NOT_OK(api::RunCombine(conf_, groups, emit, *reporter_));
-      pairs.clear();
     }
+    arena_.Clear();
     return Status::OK();
   }
 
@@ -314,13 +317,17 @@ class CombiningShuffleCollector : public api::OutputCollector {
   int src_place_;
   int worker_lane_;
   int num_partitions_;
+  serialize::RawComparatorPtr sort_cmp_;
+  const sortkit::RawCompareFn* order_;
   bool mapper_immutable_;
   bool combiner_immutable_;
   api::Reporter* reporter_;
-  std::vector<std::vector<api::KeyedPair>> buffered_;
+  const api::MapOutputFactories factories_;
+  api::MapOutputArena arena_;
   // Per-record system counters, reported once by the destructor.
   int64_t output_records_ = 0;
   int64_t cloned_pairs_ = 0;
+  int64_t combine_input_records_ = 0;
   int64_t combine_output_records_ = 0;
 };
 
@@ -1640,14 +1647,9 @@ Status M3REngine::Plan(JobContext& ctx) {
   // default keeps the prefix-cached kernel, anything else routes through
   // the job's comparator. Map-only jobs never sort.
   ctx.run_sort_cmp = ctx.num_reduce > 0 ? api::SortComparator(conf) : nullptr;
-  if (ctx.run_sort_cmp != nullptr &&
-      std::string_view(ctx.run_sort_cmp->Name()) !=
-          serialize::BytesComparator::kName) {
-    ctx.run_cmp = [cmp = ctx.run_sort_cmp.get()](std::string_view a,
-                                                 std::string_view b) {
-      return cmp->Compare(a, b);
-    };
-    shuffle_options.run_comparator = &ctx.run_cmp;
+  if (ctx.run_sort_cmp != nullptr) {
+    shuffle_options.run_comparator =
+        api::SortkitOrder(ctx.run_sort_cmp, &ctx.run_cmp);
   }
   shuffle_options.resident_gauge = &shuffle_run_bytes_;
   ctx.shuffle.emplace(num_places, shuffle_options);
@@ -1785,7 +1787,8 @@ void M3REngine::RunMapTask(JobContext& ctx, size_t i, int place, int lane,
                                api::conf::kMapredCombiner);
     CombiningShuffleCollector collector(
         tconf, &*ctx.shuffle, partitioner.get(), place, lane, num_reduce,
-        immutable, combiner_immutable, &reporter);
+        immutable, combiner_immutable, ctx.run_sort_cmp, ctx.run_comparator(),
+        &reporter);
     t.status = FeedMapper(tconf, *pairs, collector, reporter);
     if (t.status.ok()) t.status = collector.Flush();
   } else if (num_reduce > 0) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <string_view>
 
+#include "api/map_output_arena.h"
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "serialize/io.h"
@@ -482,14 +483,12 @@ void ShuffleExchange::FlushLane(Lane* lane, const std::string& lane_key,
   if (barrier) {
     lane->out.reset();
   } else {
-    // Fresh stream per run: the de-dup identity map resets (runs decode
-    // independently), and the pooled buffer cycles per run so the decaying
-    // size hint tracks run size, not whole-lane size.
-    lane->out = pool_ != nullptr
-                    ? std::make_unique<serialize::DedupOutputStream>(
-                          dedup_mode_, pool_->Acquire(kLaneWireCategory))
-                    : std::make_unique<serialize::DedupOutputStream>(
-                          dedup_mode_);
+    // New frame per run: the de-dup identities reset (runs decode
+    // independently) but the identity table keeps its capacity, and the
+    // pooled buffer cycles per run so the decaying size hint tracks run
+    // size, not whole-lane size.
+    lane->out->Reset(pool_ != nullptr ? pool_->Acquire(kLaneWireCategory)
+                                      : std::string());
   }
   auto recycle = [&] {
     if (pool_ != nullptr && wire.capacity() > 0) {
@@ -542,82 +541,45 @@ void ShuffleExchange::FlushLane(Lane* lane, const std::string& lane_key,
 
   // Walk the frame once, in emission order. Each record's run bytes are a
   // slice of the verified frame — exactly what the sender's Write()
-  // produced — so sealing only has to find where each slice ends; no object
-  // is rebuilt and nothing is re-encoded. The run keeps the serialized form
-  // so it can merge, spill, and reload without touching the object layer.
-  struct Record {
-    int partition = 0;
-    uint32_t key_type = 0;
-    uint32_t value_type = 0;
-    std::string_view key;
-    std::string_view value;
-  };
-  std::vector<Record> records;
-  std::vector<uint32_t> partition_counts(
-      static_cast<size_t>(num_partitions_), 0);
+  // produced — so sealing only has to find where each slice ends and copy
+  // it into the map-output arena; no object is rebuilt and nothing is
+  // re-encoded. The run keeps the serialized form so it can merge, spill,
+  // and reload without touching the object layer.
+  api::MapOutputArena arena(num_partitions_);
+  // Stream type ids of each partition's first record, for its run.
+  std::vector<std::pair<uint32_t, uint32_t>> types(
+      static_cast<size_t>(num_partitions_));
   serialize::DedupInputStream in(*served);
   while (!in.AtEnd()) {
-    Record r;
-    r.partition = static_cast<int>(in.ReadControl());
-    r.key = in.ReadObjectBytes(&r.key_type);
-    r.value = in.ReadObjectBytes(&r.value_type);
-    M3R_CHECK(r.partition >= 0 && r.partition < num_partitions_);
+    const int partition = static_cast<int>(in.ReadControl());
+    uint32_t key_type = 0;
+    uint32_t value_type = 0;
+    const std::string_view key = in.ReadObjectBytes(&key_type);
+    const std::string_view value = in.ReadObjectBytes(&value_type);
+    M3R_CHECK(partition >= 0 && partition < num_partitions_);
     if (orphan) {
       // The lane was addressed to a dead place; its partitions have been
       // re-homed, so only require that the current home is alive.
       M3R_CHECK(dead_.empty() ||
-                !dead_[static_cast<size_t>(PlaceOfPartition(r.partition))]);
+                !dead_[static_cast<size_t>(PlaceOfPartition(partition))]);
     } else {
-      M3R_CHECK(PlaceOfPartition(r.partition) == dst_place);
+      M3R_CHECK(PlaceOfPartition(partition) == dst_place);
     }
-    ++partition_counts[static_cast<size_t>(r.partition)];
-    records.push_back(r);
+    if (arena.PartitionRecords(partition) == 0) {
+      types[static_cast<size_t>(partition)] = {key_type, value_type};
+    }
+    arena.Add(partition, key, value);
   }
 
-  // Group the records by partition, emission order kept within each
-  // (a counting sort over the partition ids).
-  std::vector<uint32_t> order(records.size());
-  std::vector<uint32_t> next(static_cast<size_t>(num_partitions_), 0);
-  for (size_t p = 1; p < next.size(); ++p) {
-    next[p] = next[p - 1] + partition_counts[p - 1];
-  }
-  for (uint32_t i = 0; i < records.size(); ++i) {
-    order[next[static_cast<size_t>(records[i].partition)]++] = i;
-  }
-
-  // Seal one sorted run per partition touched, in partition order: sortkit
-  // prefix sort over the key slices (the custom comparator only when the
-  // job overrides byte order), then copy the slices out in sorted order
-  // into a buffer of the run's exact size.
+  // Seal one sorted run per partition touched, in partition order, with
+  // the arena's stable (partition, key) sort (the custom comparator only
+  // when the job overrides byte order).
+  arena.Sort(run_comparator_);
   const uint64_t version = map_.version();
-  std::vector<std::string_view> keys;
-  sortkit::SortOptions sort_options;
-  sort_options.comparator = run_comparator_;
-  size_t begin = 0;
   for (int partition = 0; partition < num_partitions_; ++partition) {
-    const uint32_t count = partition_counts[static_cast<size_t>(partition)];
+    const size_t count = arena.PartitionRecords(partition);
     if (count == 0) continue;
-    const uint32_t* members = order.data() + begin;
-    begin += count;
-    keys.clear();
-    size_t run_size = 0;
-    for (uint32_t m = 0; m < count; ++m) {
-      const Record& r = records[members[m]];
-      keys.push_back(r.key);
-      run_size += serialize::VarU64Size(r.key.size()) + r.key.size() +
-                  serialize::VarU64Size(r.value.size()) + r.value.size();
-    }
-    std::vector<uint32_t> perm =
-        sortkit::StableSortPermutation(keys, sort_options);
-    std::string bytes;
-    bytes.reserve(run_size);
-    serialize::DataOutput out(&bytes);
-    for (uint32_t i : perm) {
-      const Record& r = records[members[i]];
-      out.WriteString(r.key);
-      out.WriteString(r.value);
-    }
-    const Record& first = records[members[0]];
+    const auto [key_type, value_type] = types[static_cast<size_t>(partition)];
     SortedRun run;
     run.src_place = src_place;
     run.worker_lane = worker;
@@ -625,13 +587,11 @@ void ShuffleExchange::FlushLane(Lane* lane, const std::string& lane_key,
     run.seq_last = seq;
     run.map_version = version;
     run.records = count;
-    run.bytes = std::move(bytes);
-    run.key_type = in.TypeNameOf(first.key_type);
-    run.value_type = in.TypeNameOf(first.value_type);
+    run.bytes = arena.PartitionRun(partition);
+    run.key_type = in.TypeNameOf(key_type);
+    run.value_type = in.TypeNameOf(value_type);
     AppendRun(partition, std::move(run));
   }
-  // Every run is copied out; only now may the frame the spans point into
-  // go back to the pool.
   recycle();
   runs_shipped_.fetch_add(1, std::memory_order_relaxed);
   record_cpu();

@@ -1,5 +1,6 @@
 #include "serialize/dedup.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -54,6 +55,21 @@ void DedupOutputStream::WriteTypeHeader(const char* type) {
   type_ids_.emplace_back(type, num_types_++);
   out_.WriteByte(kNewType);
   out_.WriteString(type);
+}
+
+void DedupOutputStream::Reset(std::string recycled) {
+  out_.Adopt(std::move(recycled));
+  std::fill(seen_.begin(), seen_.end(), Seen{});
+  seen_count_ = 0;
+  type_ids_.clear();
+  num_types_ = 0;
+  pinned_.clear();
+  for (auto& entry : recent_) entry = {};
+  recent_pos_ = 0;
+  next_index_ = 0;
+  objects_written_ = 0;
+  objects_deduped_ = 0;
+  bytes_saved_ = 0;
 }
 
 void DedupOutputStream::WriteObject(const WritablePtr& obj) {

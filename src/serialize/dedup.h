@@ -45,6 +45,13 @@ class DedupOutputStream {
     out_.Adopt(std::move(recycled));
   }
 
+  /// Starts a new frame on `recycled` (its contents are discarded): every
+  /// identity, type id and tally restarts as in a fresh stream, so the
+  /// frame decodes on its own and its bytes equal a fresh stream's, but the
+  /// kFull identity table keeps its capacity instead of regrowing from
+  /// empty.
+  void Reset(std::string recycled);
+
   /// Appends `obj` to the stream. Identity (pointer equality) triggers
   /// de-duplication, mirroring X10's heap-graph serializer.
   void WriteObject(const WritablePtr& obj);

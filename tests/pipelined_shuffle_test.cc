@@ -293,7 +293,9 @@ TEST(PipelinedShuffleTest, RunsMergeIntoGlobalKeyOrderWithStableOrdinals) {
     std::string_view k, v;
     uint64_t merged = 0;
     while (merger.Next(&k, &v)) {
-      if (merged > 0) EXPECT_LE(prev, std::string(k));
+      if (merged > 0) {
+        EXPECT_LE(prev, std::string(k));
+      }
       prev.assign(k.data(), k.size());
       ++merged;
     }

@@ -271,6 +271,63 @@ TEST(DedupTest, SpansEqualReserializedObjectsInEveryMode) {
   }
 }
 
+TEST(DedupTest, ResetStreamWritesAFreshStreamsBytes) {
+  // A lane reuses one stream across early flushes. After Reset, the next
+  // frame must be what a fresh stream writes: objects and types from the
+  // earlier frame are new again (frames decode independently), and the
+  // tallies restart, though the kFull table kept its grown capacity.
+  for (DedupMode mode :
+       {DedupMode::kFull, DedupMode::kOff, DedupMode::kConsecutive}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    std::vector<WritablePtr> first;
+    for (int i = 0; i < 500; ++i) {  // grows the kFull table several times
+      for (const WritablePtr& obj : OneOfEachBasicType(i)) {
+        first.push_back(obj);
+      }
+    }
+    std::vector<WritablePtr> second;
+    for (size_t i = 0; i < 40; ++i) {
+      second.push_back(first[i * 7]);  // seen before the reset
+      second.push_back(second.back());  // an adjacent repeat
+      second.push_back(std::make_shared<LongWritable>(static_cast<int64_t>(i)));
+    }
+    auto write = [](DedupOutputStream& out,
+                    const std::vector<WritablePtr>& objs) {
+      for (size_t i = 0; i < objs.size(); ++i) {
+        out.WriteControl(i);
+        out.WriteObject(objs[i]);
+      }
+    };
+
+    DedupOutputStream reused(mode);
+    write(reused, first);
+    EXPECT_FALSE(reused.TakeBuffer().empty());
+    reused.Reset(std::string(4096, 'x'));  // a recycled, dirty buffer
+    EXPECT_TRUE(reused.buffer().empty());
+    write(reused, second);
+
+    DedupOutputStream fresh(mode);
+    write(fresh, second);
+    EXPECT_EQ(reused.buffer(), fresh.buffer());
+    EXPECT_EQ(reused.objects_written(), fresh.objects_written());
+    EXPECT_EQ(reused.objects_deduped(), fresh.objects_deduped());
+    EXPECT_EQ(reused.bytes_saved(), fresh.bytes_saved());
+    if (mode != DedupMode::kOff) {
+      EXPECT_GT(fresh.objects_deduped(), 0u);
+    }
+
+    // The reset frame decodes on its own.
+    const std::string frame = reused.TakeBuffer();
+    DedupInputStream in(frame);
+    for (size_t i = 0; i < second.size(); ++i) {
+      ASSERT_EQ(in.ReadControl(), i);
+      EXPECT_EQ(SerializeToString(*in.ReadObject()),
+                SerializeToString(*second[i]));
+    }
+    EXPECT_TRUE(in.AtEnd());
+  }
+}
+
 TEST(DedupTest, FullModeTableGrowsPastTenThousandObjects) {
   // 12,000 distinct objects, each third one followed by a repeat of one of
   // the first hundred: the identity table must grow many times and still
