@@ -7,7 +7,6 @@
 #include "api/task_runner.h"
 #include "common/logging.h"
 #include "serialize/comparators.h"
-#include "serialize/registry.h"
 
 namespace m3r::api {
 

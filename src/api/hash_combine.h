@@ -12,7 +12,6 @@
 #include "api/map_output_arena.h"
 #include "api/mr_api.h"
 #include "common/status.h"
-#include "serialize/registry.h"
 
 namespace m3r::api {
 

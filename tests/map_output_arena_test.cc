@@ -10,13 +10,9 @@
 
 #include "api/counters.h"
 #include "common/rng.h"
-#include "dfs/local_fs.h"
-#include "hadoop/hadoop_engine.h"
 #include "hadoop/spill.h"
-#include "m3r/m3r_engine.h"
 #include "serialize/basic_writables.h"
 #include "serialize/comparators.h"
-#include "workloads/text_gen.h"
 #include "workloads/wordcount.h"
 
 namespace m3r::api {
@@ -199,7 +195,8 @@ TEST(SpanGroupSourceTest, ByteGroupingSplitsEveryDistinctKey) {
 
 TEST(MapOutputArenaTest, KeepsBytesOfObjectsMutatedAfterAdd) {
   // The reusing-mapper contract: Add serializes, so mutating the objects
-  // afterwards must not change what was collected.
+  // afterwards must not change what was collected. (End to end, the
+  // reuse-mapper job of CounterParity runs this path on both engines.)
   MapOutputArena arena(1);
   auto word = std::make_shared<Text>();
   auto count = std::make_shared<IntWritable>();
@@ -219,53 +216,6 @@ TEST(MapOutputArenaTest, KeepsBytesOfObjectsMutatedAfterAdd) {
     keys.push_back(t.Get());
   }
   EXPECT_EQ(keys, (std::vector<std::string>{"x", "y", "z", "z"}));
-}
-
-TEST(MapOutputArenaTest, ReusingMapperCombinesLikeHadoopOnM3R) {
-  // End to end: the object-reusing WordCount mapper feeds M3R's per-task
-  // combine, whose output must match the Hadoop engine's, with every pair
-  // counted as M3R's copy.
-  sim::ClusterSpec cluster;
-  cluster.num_nodes = 3;
-  cluster.slots_per_node = 2;
-  auto hadoop_fs = dfs::MakeSimDfs(3, 16 * 1024);
-  auto m3r_fs = dfs::MakeSimDfs(3, 16 * 1024);
-  for (auto* fs : {hadoop_fs.get(), m3r_fs.get()}) {
-    ASSERT_TRUE(workloads::GenerateText(*fs, "/in", 64 * 1024, 2, 9).ok());
-  }
-  hadoop::HadoopEngine hadoop(hadoop_fs, {cluster, 0});
-  engine::M3REngine m3r(m3r_fs, {cluster});
-  const JobConf job = workloads::MakeWordCountJob("/in", "/out", 4, false);
-  JobResult h = hadoop.Submit(job);
-  ASSERT_TRUE(h.ok()) << h.status.ToString();
-  JobResult m = m3r.Submit(job);
-  ASSERT_TRUE(m.ok()) << m.status.ToString();
-  auto read_all = [](dfs::FileSystem& fs) {
-    std::string all;
-    auto files = fs.ListStatus("/out");
-    EXPECT_TRUE(files.ok());
-    for (const auto& f : *files) {
-      if (f.path.find("part-") == std::string::npos) continue;
-      auto content = fs.ReadFile(f.path);
-      EXPECT_TRUE(content.ok());
-      all += *content;
-    }
-    return all;
-  };
-  const std::string out = read_all(*m3r_fs);
-  EXPECT_FALSE(out.empty());
-  EXPECT_EQ(out, read_all(*hadoop_fs));
-  const int64_t map_out =
-      m.counters.Get(counters::kTaskGroup, counters::kMapOutputRecords);
-  EXPECT_GT(map_out, 0);
-  EXPECT_EQ(m.counters.Get(counters::kM3rGroup, counters::kClonedPairs),
-            map_out);
-  EXPECT_EQ(m.counters.Get(counters::kTaskGroup,
-                           counters::kCombineInputRecords),
-            map_out);
-  EXPECT_LT(m.counters.Get(counters::kTaskGroup,
-                           counters::kCombineOutputRecords),
-            map_out);
 }
 
 /// Serializes combiner output into a segment, as the spill does.
