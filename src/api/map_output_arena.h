@@ -68,10 +68,10 @@ class MapOutputArena {
   };
 
   std::string bytes_;
-  std::vector<Entry> index_;           // collect order
-  std::vector<uint32_t> counts_;       // records per partition
-  std::vector<uint32_t> order_;        // sorted: index_ positions
-  std::vector<uint32_t> starts_;       // sorted: partition p at starts_[p]
+  std::vector<Entry> index_;      // collect order
+  std::vector<uint32_t> counts_;  // records per partition
+  std::vector<uint32_t> order_;   // sorted: index_ positions
+  std::vector<uint32_t> starts_;  // sorted: partition p at starts_[p]
 };
 
 /// The job's map-output key and value factories, resolved once per task.
@@ -81,8 +81,8 @@ struct MapOutputFactories {
   serialize::WritableRegistry::Factory value;
 };
 
-/// GroupSource over sorted serialized records: an arena partition, a spill
-/// segment, or a merged reduce segment. Consecutive records whose keys
+/// GroupSource over sorted serialized records: an arena partition, a merged
+/// reduce segment, or one hash-combine entry's pending values. Consecutive records whose keys
 /// compare equal under `grouping` form one group, whose key is the first
 /// record's. Byte-equal keys never end a group and, under the raw byte
 /// grouping, byte-unequal keys always do, so the common case skips the
